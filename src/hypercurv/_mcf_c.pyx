@@ -2,7 +2,8 @@
 """Compiled integer transportation kernel.
 
 Same successive-shortest-path algorithm and tie-breaking as
-`hypercurv._mcf_py`; the two backends must return identical flows.
+`hypercurv._mcf_py`; the two backends must return identical flows and
+identical final potentials (`transport_value` returns the sink ones).
 """
 
 from libc.stdlib cimport free, malloc
@@ -11,11 +12,10 @@ cdef long long INF = <long long>1 << 62
 
 
 cdef long long _solve(long long* sup, long long* dem, long long* cost,
-                      long long* flow, int n_src, int n_snk) except? -1:
+                      long long* flow, long long* pot_s, long long* pot_t,
+                      int n_src, int n_snk) except? -1:
     cdef long long* dist_s = NULL
     cdef long long* dist_t = NULL
-    cdef long long* pot_s = NULL
-    cdef long long* pot_t = NULL
     cdef int* par_s = NULL
     cdef int* par_t = NULL
     cdef char* done_s = NULL
@@ -28,15 +28,13 @@ cdef long long _solve(long long* sup, long long* dem, long long* cost,
 
     dist_s = <long long*>malloc(n_src * sizeof(long long))
     dist_t = <long long*>malloc(n_snk * sizeof(long long))
-    pot_s = <long long*>malloc(n_src * sizeof(long long))
-    pot_t = <long long*>malloc(n_snk * sizeof(long long))
     par_s = <int*>malloc(n_src * sizeof(int))
     par_t = <int*>malloc(n_snk * sizeof(int))
     done_s = <char*>malloc(n_src)
     done_t = <char*>malloc(n_snk)
-    if (dist_s == NULL or dist_t == NULL or pot_s == NULL or pot_t == NULL
-            or par_s == NULL or par_t == NULL or done_s == NULL or done_t == NULL):
-        free(dist_s); free(dist_t); free(pot_s); free(pot_t)
+    if (dist_s == NULL or dist_t == NULL or par_s == NULL or par_t == NULL
+            or done_s == NULL or done_t == NULL):
+        free(dist_s); free(dist_t)
         free(par_s); free(par_t); free(done_s); free(done_t)
         raise MemoryError()
 
@@ -135,7 +133,7 @@ cdef long long _solve(long long* sup, long long* dem, long long* cost,
                     total += flow[i * n_snk + j] * cost[i * n_snk + j]
         return total
     finally:
-        free(dist_s); free(dist_t); free(pot_s); free(pot_t)
+        free(dist_s); free(dist_t)
         free(par_s); free(par_t); free(done_s); free(done_t)
 
 
@@ -145,10 +143,13 @@ cdef _run(object supplies, object demands, object costs, int n_src, int n_snk,
     cdef long long* dem = <long long*>malloc(n_snk * sizeof(long long))
     cdef long long* cst = <long long*>malloc(n_src * n_snk * sizeof(long long))
     cdef long long* flw = <long long*>malloc(n_src * n_snk * sizeof(long long))
+    cdef long long* pot_s = <long long*>malloc(n_src * sizeof(long long))
+    cdef long long* pot_t = <long long*>malloc(n_snk * sizeof(long long))
     cdef long long total, check = 0
     cdef int i, j
-    if sup == NULL or dem == NULL or cst == NULL or flw == NULL:
-        free(sup); free(dem); free(cst); free(flw)
+    if (sup == NULL or dem == NULL or cst == NULL or flw == NULL
+            or pot_s == NULL or pot_t == NULL):
+        free(sup); free(dem); free(cst); free(flw); free(pot_s); free(pot_t)
         raise MemoryError()
     try:
         for i in range(n_src):
@@ -161,9 +162,12 @@ cdef _run(object supplies, object demands, object costs, int n_src, int n_snk,
             raise ValueError("supplies and demands must balance")
         for i in range(n_src * n_snk):
             cst[i] = costs[i]
-        total = _solve(sup, dem, cst, flw, n_src, n_snk)
+        total = _solve(sup, dem, cst, flw, pot_s, pot_t, n_src, n_snk)
         if not want_flows:
-            return total
+            pots = []
+            for j in range(n_snk):
+                pots.append(pot_t[j])
+            return total, pots
         flows = []
         for i in range(n_src):
             for j in range(n_snk):
@@ -171,7 +175,7 @@ cdef _run(object supplies, object demands, object costs, int n_src, int n_snk,
                     flows.append((i, j, flw[i * n_snk + j]))
         return total, flows
     finally:
-        free(sup); free(dem); free(cst); free(flw)
+        free(sup); free(dem); free(cst); free(flw); free(pot_s); free(pot_t)
 
 
 def transport_plan(supplies, demands, costs, int n_src, int n_snk):
@@ -180,5 +184,5 @@ def transport_plan(supplies, demands, costs, int n_src, int n_snk):
 
 
 def transport_value(supplies, demands, costs, int n_src, int n_snk):
-    """Cost-only variant of transport_plan."""
+    """(total_cost, pot_t); see the pure-Python twin for the contract."""
     return _run(supplies, demands, costs, n_src, n_snk, False)

@@ -5,6 +5,12 @@ bipartite supply/demand graph.  Everything is integer arithmetic, so the
 result is exact; ties are broken by lowest index (sources scanned before
 sinks) which makes the returned flow deterministic.
 
+The final potentials are an optimal dual certificate: every pair obeys
+``pot_t[j] - pot_s[i] <= c_ij`` with equality wherever flow runs, so
+``sum(pot_t * demands) - sum(pot_s * supplies)`` equals the total cost.
+`transport_value` returns the sink potentials alongside the cost, which
+lets callers build a Kantorovich potential without a second solve.
+
 `hypercurv._mcf_c` is a compiled drop-in replacement built from the same
 algorithm; `hypercurv.kernels` picks whichever is importable.
 """
@@ -14,12 +20,8 @@ from __future__ import annotations
 INF = 1 << 62
 
 
-def transport_plan(supplies, demands, costs, n_src, n_snk):
-    """Min-cost transport of integer supplies onto integer demands.
-
-    `costs` is a row-major flattened n_src x n_snk integer matrix.
-    Returns (total_cost, flows) with flows a list of (i, j, amount).
-    """
+def _solve(supplies, demands, costs, n_src, n_snk):
+    """(total, flow, pot_s, pot_t): flat flow matrix and final potentials."""
     if sum(supplies) != sum(demands):
         raise ValueError("supplies and demands must balance")
     flow = [0] * (n_src * n_snk)
@@ -113,17 +115,24 @@ def transport_plan(supplies, demands, costs, n_src, n_snk):
             pot_t[j] += dist_t[j] if dist_t[j] < d_star else d_star
 
     total = 0
-    flows = []
-    for i in range(n_src):
-        base = i * n_snk
-        for j in range(n_snk):
-            f = flow[base + j]
-            if f > 0:
-                total += f * costs[base + j]
-                flows.append((i, j, f))
+    for k, f in enumerate(flow):
+        if f > 0:
+            total += f * costs[k]
+    return total, flow, pot_s, pot_t
+
+
+def transport_plan(supplies, demands, costs, n_src, n_snk):
+    """Min-cost transport of integer supplies onto integer demands.
+
+    `costs` is a row-major flattened n_src x n_snk integer matrix.
+    Returns (total_cost, flows) with flows a list of (i, j, amount).
+    """
+    total, flow, _, _ = _solve(supplies, demands, costs, n_src, n_snk)
+    flows = [(*divmod(k, n_snk), f) for k, f in enumerate(flow) if f > 0]
     return total, flows
 
 
 def transport_value(supplies, demands, costs, n_src, n_snk):
-    """Cost-only variant of transport_plan."""
-    return transport_plan(supplies, demands, costs, n_src, n_snk)[0]
+    """(total_cost, pot_t): the cost and the optimal sink potentials."""
+    total, _, _, pot_t = _solve(supplies, demands, costs, n_src, n_snk)
+    return total, pot_t

@@ -11,6 +11,11 @@ on that grid: step-cost minimization for a fixed plan structure is a
 concave minimization over a network-flow polytope with rational data, so
 extreme-point optima have grid-rational masses.  This is an assumption,
 not a theorem; the refine knob and the grid-stability test guard it.
+
+The search prices successors by Kantorovich-Rubinstein duality: the exact
+W1 solve of an expanded state also yields a 1-Lipschitz potential f with
+<f, state - goal> = W1, so <f, child - goal> bounds a child's W1 from
+below with no further kernel call.
 """
 
 from __future__ import annotations
@@ -204,6 +209,11 @@ def _delta_to_moves(labels, delta_units, D):
 
 
 def _compositions(total, k):
+    """Every k-tuple of non-negative integers summing to total."""
+    if k == 0:
+        if total == 0:
+            yield ()
+        return
     if k == 1:
         yield (total,)
         return
@@ -212,15 +222,21 @@ def _compositions(total, k):
             yield (first,) + rest
 
 
-def _edge_successors(cur, goal, unpruned, full_enum_limit):
-    """New value tuples for one edge, with the mass moved.
+def _edge_successors(cur, goal, hi, unpruned, full_enum_limit, skip):
+    """New value tuples for one edge, with the mass moved and its t.
+
+    `hi` flags the edge's high-potential vertices (potential one above the
+    edge minimum) and t = sum(hi * (new - cur)) is the net mass a
+    successor moves onto them; the dual bound of a successor depends on t
+    alone, and ``moved >= |t|``.
 
     2-vertex edges are always enumerated exhaustively (complete on graphs).
     Larger hyperedges are enumerated exhaustively while the composition
-    count is small; beyond that a structured family is used: sources drain
-    to 0 or to their goal value, targets fill to their goal value, one
-    vertex absorbs the balance.  That family contains every step of the
-    worked optimal plans; the unpruned flag restores ground truth.
+    count is small, grouped by t so that a whole group is dropped when
+    `skip(t)` is true; beyond that a structured family is used: sources
+    drain to 0 or to their goal value, targets fill to their goal value,
+    one vertex absorbs the balance.  That family contains every step of
+    the worked optimal plans; the unpruned flag restores ground truth.
     """
     k = len(cur)
     M = sum(cur)
@@ -228,17 +244,32 @@ def _edge_successors(cur, goal, unpruned, full_enum_limit):
         return
     if k == 2:
         a, b = cur
+        s = hi[1] - hi[0]
         for m in range(1, a + 1):
-            yield (a - m, b + m), m
+            yield (a - m, b + m), m, s * m
         for m in range(1, b + 1):
-            yield (a + m, b - m), m
+            yield (a + m, b - m), m, -s * m
         return
     if unpruned or math.comb(M + k - 1, k - 1) <= full_enum_limit:
-        for comp in _compositions(M, k):
-            if comp != cur:
-                moved = sum(c - n for c, n in zip(cur, comp) if c > n)
-                yield comp, moved
+        high = [i for i in range(k) if hi[i]]
+        low = [i for i in range(k) if not hi[i]]
+        on_high = sum(cur[i] for i in high)
+        order = high + low
+        place = [order.index(i) for i in range(k)]
+        for t in range(-on_high, M - on_high + 1):
+            if skip(t):
+                continue
+            for top in _compositions(on_high + t, len(high)):
+                for bottom in _compositions(M - on_high - t, len(low)):
+                    stacked = top + bottom
+                    comp = tuple(stacked[p] for p in place)
+                    if comp != cur:
+                        moved = sum(c - n for c, n in zip(cur, comp) if c > n)
+                        yield comp, moved, t
         return
+
+    def with_t(new, moved):
+        return new, moved, sum(n - c for n, c, f in zip(new, cur, hi) if f)
 
     seen = set()
     idx = range(k)
@@ -281,7 +312,7 @@ def _edge_successors(cur, goal, unpruned, full_enum_limit):
                             tup = tuple(new)
                             if tup not in seen:
                                 seen.add(tup)
-                                yield tup, freed
+                                yield with_t(tup, freed)
     # fan-out: one source fills targets exactly to goal, keeping the rest
     for s in pos:
         cand = [t for t in deficits if t != s]
@@ -296,7 +327,7 @@ def _edge_successors(cur, goal, unpruned, full_enum_limit):
                     tup = tuple(new)
                     if tup not in seen:
                         seen.add(tup)
-                        yield tup, need
+                        yield with_t(tup, need)
 
 
 def _quantize(H, m: ProbMeasure, D: int):
@@ -324,6 +355,18 @@ def wh_exact(H: Hypergraph, h: ConcaveCost, mu: ProbMeasure, nu: ProbMeasure,
     strictly cheaper plans; when the frontier drains without beating it the
     incumbent is optimal on the grid.  On state-budget exhaustion the best
     plan found so far is returned with optimality "heuristic-upper-bound".
+
+    W1 is evaluated lazily.  An expanded state keeps the Kantorovich
+    potential f of its exact W1 (see `w1_units`), and a child differing by
+    delta on one edge is pushed with the dual bound
+    envelope(max(W1 + <f, delta>, 0)), never weaker than the step-size
+    bound envelope(max(W1 - moved, 0)); its exact W1 is computed only when
+    it is popped.  f takes two adjacent values on a hyperedge, so
+    <f, delta> = t, the net mass moved onto the higher vertices, and
+    moved >= |t|.  Exhaustive enumeration runs group by group in t and
+    skips a group outright once g + h(|t|) + envelope(max(W1 + t, 0))
+    reaches the incumbent; 2-vertex edges and the structured family test
+    each child.
     """
     mu.check_support(H)
     nu.check_support(H)
@@ -333,7 +376,7 @@ def wh_exact(H: Hypergraph, h: ConcaveCost, mu: ProbMeasure, nu: ProbMeasure,
     D = denominator if denominator is not None else base * refine
     start = _quantize(H, mu, D)
     goal = _quantize(H, nu, D)
-    lower_units = w1_units(H, start, goal, D)
+    lower_units, f_start = w1_units(H, start, goal, D)
     lower = h.h1 * float(Fraction(lower_units, D))
     if start == goal:
         plan = TransportPlan(mu, nu, ())
@@ -371,13 +414,14 @@ def wh_exact(H: Hypergraph, h: ConcaveCost, mu: ProbMeasure, nu: ProbMeasure,
     closed = set()
     counter = itertools.count()
     f0 = env_of(lower_units)
-    heap = [(round(f0, 12), 0.0, 0, next(counter), start, 0.0, True, lower_units)]
+    heap = [(round(f0, 12), 0.0, 0, next(counter), start, 0.0, True,
+             lower_units, f_start)]
     goal_reached = False
     expanded = 0
     exhausted = False
 
     while heap:
-        f, _negg, nsteps, _, state, g, evaluated, w1u = heapq.heappop(heap)
+        f, _negg, nsteps, _, state, g, evaluated, w1u, pot = heapq.heappop(heap)
         if state in closed:
             continue
         if g > g_best.get(state, math.inf) + 1e-15:
@@ -386,13 +430,13 @@ def wh_exact(H: Hypergraph, h: ConcaveCost, mu: ProbMeasure, nu: ProbMeasure,
             plan = _reconstruct(H, mu, nu, parents, goal, D)
             return WhResult(g, plan, "exact", lower, expanded, D)
         if not evaluated:
-            true_units = w1_units(H, state, goal, D)
+            true_units, pot = w1_units(H, state, goal, D)
             ft = g + env_of(true_units)
             if ft >= incumbent_g - COST_TOL:
                 continue
             if round(ft, 12) > f:
-                heapq.heappush(heap, (round(ft, 12), -g, nsteps,
-                                      next(counter), state, g, True, true_units))
+                heapq.heappush(heap, (round(ft, 12), -g, nsteps, next(counter),
+                                      state, g, True, true_units, pot))
                 continue
             w1u = true_units
         closed.add(state)
@@ -402,12 +446,19 @@ def wh_exact(H: Hypergraph, h: ConcaveCost, mu: ProbMeasure, nu: ProbMeasure,
             break
         if max_steps is not None and nsteps >= max_steps:
             continue
+
+        def skip(t):
+            return (g + cost_of(abs(t)) + env_of(max(w1u + t, 0))
+                    >= incumbent_g - COST_TOL)
+
         for k, edge in enumerate(edge_lists):
             cur = tuple(state[v] for v in edge)
-            for new_vals, moved in _edge_successors(cur, goal_by_edge[k],
-                                                    unpruned, full_enum_limit):
+            base = min(pot[v] for v in edge)
+            hi = tuple(pot[v] - base for v in edge)
+            for new_vals, moved, t in _edge_successors(
+                    cur, goal_by_edge[k], hi, unpruned, full_enum_limit, skip):
                 g2 = g + cost_of(moved)
-                bound = env_of(max(w1u - moved, 0))
+                bound = env_of(max(w1u + t, 0))
                 if g2 + bound >= incumbent_g - COST_TOL:
                     continue
                 child = list(state)
@@ -424,7 +475,7 @@ def wh_exact(H: Hypergraph, h: ConcaveCost, mu: ProbMeasure, nu: ProbMeasure,
                     incumbent_g = g2
                     goal_reached = True
                 heapq.heappush(heap, (round(g2 + bound, 12), -g2, nsteps + 1,
-                                      next(counter), child, g2, False, 0))
+                                      next(counter), child, g2, False, 0, None))
 
     # Frontier drained: nothing can beat the incumbent, so it is optimal
     # (within the per-comparison tolerance and the quantization/pruning
@@ -569,7 +620,8 @@ def _merge_pass(H, h, plan):
                 cand_plan = TransportPlan(plan.start, plan.end, tuple(cand))
                 try:
                     c = plan_cost(H, h, cand_plan)
-                except Exception:
+                except (StepLeavesHyperedge, NegativeIntermediateMass,
+                        EndpointMismatch):
                     continue
                 if c < best_cost - COST_TOL:
                     plan, best_cost, improved = cand_plan, c, True

@@ -47,11 +47,17 @@ class Coupling:
         return total
 
 
-def w1_units(H: Hypergraph, start_units, goal_units, denominator) -> int:
-    """W1 * denominator between two integer-quantized measures.
+def w1_units(H: Hypergraph, start_units, goal_units, denominator):
+    """(W1 * denominator, f) between two integer-quantized measures.
 
     Both measures are integer vectors indexed by vertex id summing to the
-    same total; the result is the exact integer transport cost.
+    same total; the first result is the exact integer transport cost.
+    `f` is an integer Kantorovich potential indexed by vertex id: the
+    c-transform ``f[v] = min_j (d(v, j) - pot_t[j])`` of the kernel's sink
+    potentials.  It is 1-Lipschitz in the hyperedge-hop metric and
+    ``sum(f[v] * (start_units[v] - goal_units[v]))`` equals the cost, so
+    by Kantorovich-Rubinstein duality ``sum(f * (xi - goal_units))`` is a
+    lower bound on ``W1 * denominator`` for every other measure xi.
     """
     sup_ids, sup_amt, dem_ids, dem_amt = [], [], [], []
     for v in range(len(start_units)):
@@ -63,11 +69,14 @@ def w1_units(H: Hypergraph, start_units, goal_units, denominator) -> int:
             dem_ids.append(v)
             dem_amt.append(-d)
     if not sup_ids:
-        return 0
+        return 0, [0] * len(start_units)
     mat = H.distance_matrix()
     costs = [mat[i][j] for i in sup_ids for j in dem_ids]
-    return kernels.transport_value(sup_amt, dem_amt, costs,
-                                   len(sup_ids), len(dem_ids))
+    total, pot_t = kernels.transport_value(sup_amt, dem_amt, costs,
+                                           len(sup_ids), len(dem_ids))
+    sinks = tuple(zip(dem_ids, pot_t))
+    f = [min([row[j] - p for j, p in sinks]) for row in mat]
+    return total, f
 
 
 def w1(H: Hypergraph, mu: ProbMeasure, nu: ProbMeasure):

@@ -154,12 +154,11 @@ def test_criterion_5_grid_hypergraph():
     heur = wh_heuristic(H, H_LOG, mu, nu)
     assert heur.value <= spread
     res = wh_exact(H, H_LOG, mu, nu, max_states=20_000)
-    note = "exact search skipped (budget)"
-    if res.optimality == "exact":
-        assert res.value <= batched + 1e-12
-        assert res.value <= spread + 1e-12
-        note = f"exact value {res.value:.6f} <= both reference plans"
-    _verdict(5, f"grid hypergraph heuristic <= alternative plan; {note}")
+    assert res.optimality == "exact"
+    assert res.value <= batched + 1e-12
+    assert res.value <= spread + 1e-12
+    _verdict(5, "grid hypergraph heuristic <= alternative plan; exact value "
+                f"{res.value:.6f} <= both reference plans")
 
 
 def test_criterion_6_sandwich_and_metric():

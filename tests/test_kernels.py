@@ -1,4 +1,5 @@
-"""Backend equivalence: the compiled kernel must replicate the pure one."""
+"""The pure kernel's values and dual certificate, and backend equivalence:
+the compiled kernel must replicate the pure one."""
 
 import random
 
@@ -23,7 +24,8 @@ def random_instance(rng, max_side=6, max_supply=30, max_cost=9):
 
 class TestPureKernel:
     def test_single_cell(self):
-        assert _mcf_py.transport_value([5], [5], [3], 1, 1) == 15
+        total, _ = _mcf_py.transport_value([5], [5], [3], 1, 1)
+        assert total == 15
 
     def test_prefers_cheap_route(self):
         # two sources, one demands from the cheaper
@@ -34,7 +36,7 @@ class TestPureKernel:
 
     def test_balance_required(self):
         with pytest.raises(ValueError):
-            _mcf_py.transport_value([2], [1], [1], 1, 1)
+            total, _ = _mcf_py.transport_value([2], [1], [1], 1, 1)
 
     def test_brute_force_tiny(self):
         # exhaustive check on 2x2 instances against direct enumeration
@@ -45,7 +47,7 @@ class TestPureKernel:
             d0 = rng.randint(0, tot)
             d = [d0, tot - d0]
             c = [rng.randint(0, 5) for _ in range(4)]
-            got = _mcf_py.transport_value(s, d, c, 2, 2)
+            got, _ = _mcf_py.transport_value(s, d, c, 2, 2)
             best = None
             for f00 in range(0, min(s[0], d[0]) + 1):
                 f01 = s[0] - f00
@@ -56,6 +58,38 @@ class TestPureKernel:
                 cost = f00 * c[0] + f01 * c[1] + f10 * c[2] + f11 * c[3]
                 best = cost if best is None else min(best, cost)
             assert got == best
+
+    def test_dual_certificate(self):
+        # the final potentials are feasible, tight on every used arc and
+        # reach the primal cost (strong duality)
+        rng = random.Random(2718)
+        for _ in range(300):
+            sup, dem, costs, ns, nt = random_instance(rng)
+            total, flow, pot_s, pot_t = _mcf_py._solve(sup, dem, costs, ns, nt)
+            for i in range(ns):
+                for j in range(nt):
+                    c = costs[i * nt + j]
+                    assert pot_t[j] - pot_s[i] <= c
+                    if flow[i * nt + j] > 0:
+                        assert pot_t[j] - pot_s[i] == c
+            dual = (sum(p * d for p, d in zip(pot_t, dem))
+                    - sum(p * s for p, s in zip(pot_s, sup)))
+            assert dual == total
+
+    def test_value_potentials_c_transform(self):
+        # transport_value's sink potentials alone certify the optimum: with
+        # the c-transform g_i = min_j (c_ij - pot_t[j]) on the sources the
+        # dual objective equals the returned cost
+        rng = random.Random(1618)
+        for _ in range(300):
+            sup, dem, costs, ns, nt = random_instance(rng)
+            total, pot_t = _mcf_py.transport_value(sup, dem, costs, ns, nt)
+            assert total == _mcf_py.transport_plan(sup, dem, costs, ns, nt)[0]
+            g = [min(costs[i * nt + j] - pot_t[j] for j in range(nt))
+                 for i in range(ns)]
+            dual = (sum(gi * s for gi, s in zip(g, sup))
+                    + sum(p * d for p, d in zip(pot_t, dem)))
+            assert dual == total
 
 
 @pytest.mark.skipif("c" not in kernels.backends(),
@@ -75,9 +109,11 @@ class TestBackendEquivalence:
         rng = random.Random(100)
         for _ in range(100):
             sup, dem, costs, ns, nt = random_instance(rng)
-            assert (_mcf_py.transport_value(sup, dem, costs, ns, nt)
-                    == c_mod.transport_value(list(sup), list(dem),
-                                             list(costs), ns, nt))
+            py_total, py_pot = _mcf_py.transport_value(sup, dem, costs, ns, nt)
+            c_total, c_pot = c_mod.transport_value(list(sup), list(dem),
+                                                   list(costs), ns, nt)
+            assert py_total == c_total
+            assert py_pot == c_pot
 
     def test_determinism(self):
         c_mod = kernels.backends()["c"]

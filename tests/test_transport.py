@@ -8,6 +8,8 @@ import pytest
 
 from hypercurv import (
     ConcaveCost,
+    ProbMeasure,
+    common_denominator,
     TransportPlan,
     TransportStep,
     dirac,
@@ -28,7 +30,14 @@ from hypercurv.errors import (
     NotAssociated,
     StepLeavesHyperedge,
 )
-from hypercurv.transport import _step_kernels
+from hypercurv.transport import (
+    COST_TOL,
+    _compositions,
+    _edge_successors,
+    _quantize,
+    _step_kernels,
+)
+from hypercurv.wasserstein import w1_units
 
 from conftest import (
     grid9_spread_plan,
@@ -272,6 +281,85 @@ class TestExact:
         res = wh_exact(H, H_LOG, dirac(H, "v0"), dirac(H, "v3"), max_steps=5)
         assert res.value == pytest.approx(3 * H_LOG.h1, abs=1e-12)
         assert len(res.plan.steps) <= 5
+
+
+class TestDualBound:
+    """The Kantorovich potential behind wh_exact's kernel-free child bound."""
+
+    @staticmethod
+    def _instances(seed, count):
+        rng = random.Random(seed)
+        for _ in range(count):
+            H = random_hypergraph(rng)
+            mu = random_measure(rng, H, max_denominator=8)
+            nu = random_measure(rng, H, max_denominator=8)
+            D = common_denominator([mu, nu])
+            yield H, _quantize(H, mu, D), _quantize(H, nu, D), D
+
+    def test_potential_is_1_lipschitz_and_tight(self):
+        for H, start, goal, D in self._instances(577, 40):
+            units, f = w1_units(H, start, goal, D)
+            mat = H.distance_matrix()
+            for u in range(H.n):
+                for v in range(H.n):
+                    assert f[u] - f[v] <= mat[u][v]
+            assert sum(fv * (s - g) for fv, s, g in zip(f, start, goal)) \
+                == units
+            assert Fraction(units, D) == w1(
+                H, ProbMeasure({H.label(v): Fraction(s, D)
+                                for v, s in enumerate(start) if s}),
+                ProbMeasure({H.label(v): Fraction(g, D)
+                             for v, g in enumerate(goal) if g}))[0]
+
+    @pytest.mark.parametrize("unpruned", [True, False])
+    def test_child_bound_sandwich(self, unpruned):
+        # w1u - moved <= w1u + <f, delta> <= W1(child) for every successor,
+        # exhaustive (grouped by t) and structured alike
+        for H, start, goal, D in self._instances(578, 30):
+            w1u, f = w1_units(H, start, goal, D)
+            for edge in H.edges:
+                cur = tuple(start[v] for v in edge)
+                base = min(f[v] for v in edge)
+                hi = tuple(f[v] - base for v in edge)
+                assert set(hi) <= {0, 1}
+                goal_e = tuple(goal[v] for v in edge)
+                for new, moved, t in _edge_successors(
+                        cur, goal_e, hi, unpruned, 0, lambda t: False):
+                    dot = sum(f[v] * (n - c) for v, c, n in zip(edge, cur, new))
+                    assert dot == t
+                    child = list(start)
+                    for v, n in zip(edge, new):
+                        child[v] = n
+                    assert w1u - moved <= w1u + t \
+                        <= w1_units(H, child, goal, D)[0]
+
+    def test_grouped_enumeration_is_complete(self):
+        # skipping nothing, the t-grouped order yields every composition
+        # but the current one exactly once; skipping a group removes
+        # exactly the compositions with that t
+        cur = (3, 0, 2, 1)
+        hi = (0, 1, 1, 0)
+        every = set(_compositions(sum(cur), 4)) - {cur}
+        out = [new for new, _, _ in _edge_successors(
+            cur, cur, hi, True, 0, lambda t: False)]
+        assert len(out) == len(set(out)) and set(out) == every
+        kept = {new for new, _, t in _edge_successors(
+            cur, cur, hi, True, 0, lambda t: t == -1)}
+        assert kept == {c for c in every if c[1] + c[2] - 2 != -1}
+
+    @pytest.mark.parametrize("alpha,value", [
+        (Fraction(1, 8), 0.5149524668774486),
+        (Fraction(1, 4), 0.5784946823875035),
+        (Fraction(1, 2), 0.6590961868185703),
+        (Fraction(9, 10), 0.6970609473203428),
+    ])
+    def test_grid9_values_pinned(self, alpha, value):
+        H = generate("grid9")
+        mu = lazy_random_walk(H, "x", alpha)
+        nu = lazy_random_walk(H, "y", alpha)
+        res = wh_exact(H, H_LOG, mu, nu)
+        assert res.optimality == "exact"
+        assert res.value == pytest.approx(value, abs=COST_TOL)
 
 
 class TestHeuristic:
