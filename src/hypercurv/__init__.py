@@ -18,16 +18,15 @@ from .bounds import (
 from .cost import AssumptionReport, ConcaveCost
 from .curvature import (
     CatalogValues,
-    CurvatureReport,
+    CurvaturePoint,
     catalog,
     catalog_instance,
     hlly,
     idleness_band,
     lly,
-    lly_kind,
     orc_alpha,
     orc_alpha_h,
-    report,
+    sweep,
 )
 from .hypergraph import (
     Hypergraph,
@@ -61,16 +60,15 @@ from .wasserstein import Coupling, w1, within_edge_w1
 
 __all__ = [
     "AssumptionReport", "CatalogValues", "CollapseMap", "ConcaveCost",
-    "Coupling", "CurvatureReport", "Hypergraph", "ProbMeasure",
+    "Coupling", "CurvaturePoint", "Hypergraph", "ProbMeasure",
     "SignedDelta", "TransportPlan", "TransportStep", "ValidationReport",
     "WhResult", "bonnet_myers_bound", "catalog", "catalog_instance",
     "clique_expansion", "collapse_map", "collapse_plan",
     "common_denominator", "degree", "diameter", "dirac", "gamma_sets",
     "generate", "graph_distance", "hlly", "idleness_band",
-    "lazy_random_walk", "lly", "lly_kind", "normalize_plan", "orc_alpha",
-    "orc_alpha_h",
-    "parse_hypergraph", "plan_cost", "plan_coupling",
-    "pushforward_measure", "report", "vertex_count_bound", "w1",
+    "lazy_random_walk", "lly", "normalize_plan", "orc_alpha",
+    "orc_alpha_h", "parse_hypergraph", "plan_cost", "plan_coupling",
+    "pushforward_measure", "sweep", "vertex_count_bound", "w1",
     "wh_bounds", "wh_exact", "wh_heuristic", "wh_line_lower_bound",
     "within_edge_w1",
 ]

@@ -24,9 +24,9 @@ from .curvature import (
     catalog_instance,
     hlly,
     lly,
-    lly_kind,
     orc_alpha,
     orc_alpha_h,
+    sweep,
 )
 from .errors import HypercurvError
 from .hypergraph import Hypergraph, graph_distance, parse_hypergraph
@@ -48,23 +48,30 @@ def _alpha_list(text):
     return [_fraction(t) for t in text.split(",") if t]
 
 
+def _pair(text):
+    labels = tuple(t.strip() for t in text.split(","))
+    if len(labels) != 2 or not all(labels):
+        raise argparse.ArgumentTypeError(f"expected two labels x,y: {text!r}")
+    return labels
+
+
+def _positive_int(text):
+    if not text.isdecimal() or int(text) < 1:
+        raise argparse.ArgumentTypeError(f"not a positive integer: {text!r}")
+    return int(text)
+
+
 def _load(path, allow_nonsimple=False) -> Hypergraph:
     with open(path, "r", encoding="utf-8") as fh:
         return parse_hypergraph(fh.read(), strict=not allow_nonsimple)
 
 
 def _pairs(H: Hypergraph, args):
-    if getattr(args, "pair", None):
-        x, y = args.pair.split(",")
-        return [(x.strip(), y.strip())]
-    mode = getattr(args, "pairs", None) or "all"
-    out = []
-    for a in range(H.n):
-        for b in range(a + 1, H.n):
-            if mode == "adjacent" and H.distance_id(a, b) != 1:
-                continue
-            out.append((H.label(a), H.label(b)))
-    return out
+    if args.pair:
+        return [args.pair]
+    return [(H.label(a), H.label(b)) for a in range(H.n)
+            for b in range(a + 1, H.n)
+            if args.pairs != "adjacent" or H.distance_id(a, b) == 1]
 
 
 def _emit(rows, fmt, stream=None):
@@ -91,14 +98,8 @@ def _emit(rows, fmt, stream=None):
 
 
 def _solver_opts(args):
-    opts = {}
-    if getattr(args, "refine", None):
-        opts["refine"] = args.refine
-    if getattr(args, "max_states", None):
-        opts["max_states"] = args.max_states
-    if getattr(args, "unpruned", False):
-        opts["unpruned"] = True
-    return opts
+    return {k: getattr(args, k) for k in ("refine", "max_states", "unpruned")
+            if getattr(args, k) is not None}
 
 
 # -- subcommands ---------------------------------------------------------------
@@ -168,45 +169,32 @@ def cmd_wh(args):
     return 0
 
 
-def _curvature_rows(H, h, pairs, alphas, args):
-    rows = []
-    for x, y in sorted(pairs):
-        d = graph_distance(H, x, y)
-        for a in sorted(alphas):
-            mu = lazy_random_walk(H, x, a)
-            nu = lazy_random_walk(H, y, a)
-            w1_val, _ = w1(H, mu, nu)
-            if args.heuristic:
-                res = wh_heuristic(H, h, mu, nu)
-            else:
-                res = wh_exact(H, h, mu, nu, **_solver_opts(args))
-            rows.append({
-                "x": x, "y": y, "alpha": str(a), "d": d, "w1": str(w1_val),
-                "wh": repr(res.value), "wh_status": res.optimality,
-                "kappa": str(1 - w1_val / d),
-                "kappa_h": repr(1.0 - res.value / (h.h1 * d)),
-            })
-    return rows
+def _emit_sweep(args, alphas):
+    H = _load(args.file)
+    h = ConcaveCost.from_json(args.h)
+    points = sweep(H, h, _pairs(H, args), alphas, heuristic=args.heuristic,
+                   **_solver_opts(args))
+    rows = [{"x": p.x, "y": p.y, "alpha": str(p.alpha), "d": p.d,
+             "w1": str(p.w1), "wh": repr(p.wh.value),
+             "wh_status": p.wh.optimality, "kappa": str(p.kappa),
+             "kappa_h": repr(p.kappa_h)} for p in points]
+    _emit(rows, args.format)
+    return 0
 
 
 def cmd_curvature(args):
     if not args.alpha:
         print("error: Usage: --alpha is required", file=sys.stderr)
         return 2
-    H = _load(args.file)
-    h = ConcaveCost.from_json(args.h)
-    rows = _curvature_rows(H, h, _pairs(H, args), args.alpha, args)
-    _emit(rows, args.format)
-    return 0
+    return _emit_sweep(args, args.alpha)
 
 
 def cmd_limit(args):
     H = _load(args.file)
     h = ConcaveCost.from_json(args.h) if args.h else None
-    kind = lly_kind(H)
     rows = []
     for x, y in sorted(_pairs(H, args)):
-        row = {"x": x, "y": y, "lly": str(lly(H, x, y)), "lly_kind": kind}
+        row = {"x": x, "y": y, "lly": str(lly(H, x, y))}
         if h is not None:
             est, diag = hlly(H, h, x, y, **_solver_opts(args))
             row["hlly_estimate"] = repr(est)
@@ -232,13 +220,8 @@ def _bounds_kappa(args, h):
         return kappa, "catalog-closed-form"
     if args.file:
         H = _load(args.file)
-        if args.pair:
-            pairs = _pairs(H, args)
-        else:
-            pairs = [(H.label(a), H.label(b)) for a in range(H.n)
-                     for b in range(a + 1, H.n) if H.distance_id(a, b) == 1]
         kappa = min(hlly(H, h, x, y, **_solver_opts(args))[0]
-                    for x, y in pairs)
+                    for x, y in _pairs(H, args))
         return kappa, "hlly-estimate"
     raise HypercurvError("bounds needs --kappa, --catalog or --file")
 
@@ -291,12 +274,8 @@ def cmd_catalog_verify(args):
 
 
 def cmd_sweep(args):
-    H = _load(args.file)
-    h = ConcaveCost.from_json(args.h)
-    alphas = args.alpha or [Fraction(k, args.grid) for k in range(args.grid + 1)]
-    rows = _curvature_rows(H, h, _pairs(H, args), alphas, args)
-    _emit(rows, args.format)
-    return 0
+    return _emit_sweep(args, args.alpha or [Fraction(k, args.grid)
+                                            for k in range(args.grid + 1)])
 
 
 def cmd_selfcheck(args):
@@ -371,6 +350,11 @@ def build_parser():
     p.add_argument("--version", action="version", version=__version__)
     sub = p.add_subparsers(dest="command", required=True)
 
+    def add_solver(sp):
+        sp.add_argument("--refine", type=_positive_int)
+        sp.add_argument("--max-states", type=_positive_int, dest="max_states")
+        sp.add_argument("--unpruned", action="store_true", default=None)
+
     def add_common(sp, with_file=True, with_h=True, with_pairs=True,
                    with_alpha=True, with_solver=True, h_required=True):
         if with_file:
@@ -380,18 +364,14 @@ def build_parser():
                             help='cost spec, e.g. {"family":"log","a":"1"}')
         if with_pairs:
             grp = sp.add_mutually_exclusive_group()
-            grp.add_argument("--pair", help="x,y vertex labels")
+            grp.add_argument("--pair", type=_pair, help="x,y vertex labels")
             grp.add_argument("--pairs", choices=["all", "adjacent"])
         if with_alpha:
             sp.add_argument("--alpha", type=_alpha_list, default=[],
                             help="comma-separated idleness rationals p/q")
         if with_solver:
-            sp.add_argument("--refine", type=int, default=1)
-            sp.add_argument("--max-states", type=int, dest="max_states")
-            sp.add_argument("--unpruned", action="store_true")
-            grp = sp.add_mutually_exclusive_group()
-            grp.add_argument("--exact", action="store_true", default=True)
-            grp.add_argument("--heuristic", action="store_true", default=False)
+            add_solver(sp)
+            sp.add_argument("--heuristic", action="store_true")
         sp.add_argument("--format", choices=["table", "json", "csv"],
                         default="table")
 
@@ -432,15 +412,14 @@ def build_parser():
     src.add_argument("--file", help="estimate kappa by hlly on this .hg file")
     sp.add_argument("--n", type=int)
     sp.add_argument("--d", type=int)
-    sp.add_argument("--pair", help="x,y (with --file; default adjacent pairs)")
+    sp.add_argument("--pair", type=_pair,
+                    help="x,y (with --file; default adjacent pairs)")
     sp.add_argument("--max-degree", type=int, dest="max_degree")
     sp.add_argument("--kind", choices=["graph_lly", "hypergraph_hlly"],
                     default="hypergraph_hlly")
-    sp.add_argument("--refine", type=int, default=1)
-    sp.add_argument("--max-states", type=int, dest="max_states")
-    sp.add_argument("--unpruned", action="store_true")
+    add_solver(sp)
     sp.add_argument("--format", choices=["table", "json", "csv"], default="table")
-    sp.set_defaults(func=cmd_bounds)
+    sp.set_defaults(func=cmd_bounds, pairs="adjacent")
 
     sp = sub.add_parser("catalog", help="closed-form catalog utilities")
     catsub = sp.add_subparsers(dest="catalog_command", required=True)
@@ -450,9 +429,7 @@ def build_parser():
     spv.add_argument("--d", type=int)
     spv.add_argument("--h", required=True)
     spv.add_argument("--alpha", type=_alpha_list, default=[])
-    spv.add_argument("--refine", type=int, default=1)
-    spv.add_argument("--max-states", type=int, dest="max_states")
-    spv.add_argument("--unpruned", action="store_true")
+    add_solver(spv)
     spv.set_defaults(func=cmd_catalog_verify)
 
     sp = sub.add_parser("sweep", help="alpha-grid curvature data")

@@ -13,7 +13,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import LambdaOutOfRange, NotConcave
+from .errors import BadParams, LambdaOutOfRange, NotConcave
 
 FAMILIES = ("linear", "log", "truncation", "trunc_log_combo", "power", "tabulated")
 
@@ -196,12 +196,20 @@ class ConcaveCost:
 
     @classmethod
     def from_json(cls, text: str) -> "ConcaveCost":
-        spec = json.loads(text)
-        family = spec["family"]
-        if family == "tabulated":
-            return cls("tabulated", points=[(Fraction(x), float(y))
-                                            for x, y in spec["points"]])
-        return cls(family, a=Fraction(spec["a"]))
+        """Parse a spec; any malformed spec raises BadParams."""
+        try:
+            spec = json.loads(text)
+            if not isinstance(spec, dict):
+                raise TypeError("a cost spec must be a JSON object")
+            family = spec["family"]
+            if family == "tabulated":
+                return cls("tabulated", points=[(Fraction(x), float(y))
+                                                for x, y in spec["points"]])
+            return cls(family, a=Fraction(spec["a"]))
+        except KeyError as exc:
+            raise BadParams(f"cost spec has no {exc} field") from None
+        except (ValueError, TypeError, ZeroDivisionError) as exc:
+            raise BadParams(f"bad cost spec: {exc}") from None
 
     def __repr__(self):
         if self.family == "tabulated":

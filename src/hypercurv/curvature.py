@@ -1,10 +1,11 @@
 """Coarse Ricci curvatures of hypergraphs and their idleness limits.
 
 Four quantities per vertex pair: the idleness-alpha curvature from W1
-(exact rational), its alpha -> 1 limit (exact, via dyadic stabilization),
+(exact rational), its alpha -> 1 limit (exact, certified by concavity),
 the discounted-transport analogue from W_h (float), and the liminf-type
 limit of the latter (reported as an extrapolated estimate with
-diagnostics, never asserted to be the true liminf).
+diagnostics, never asserted to be the true liminf).  `sweep` evaluates
+both curvatures over pairs x idleness values in one pass.
 
 The catalog reproduces the closed forms for complete graphs, cycles and
 the three line-graph configurations; it is the oracle the solvers are
@@ -18,15 +19,10 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .cost import ConcaveCost
-from .errors import (
-    InfiniteDerivativeAtZero,
-    NoStabilization,
-    OutOfCatalogRange,
-    SameVertex,
-)
-from .hypergraph import Hypergraph, generate, graph_distance
+from .errors import InfiniteDerivativeAtZero, OutOfCatalogRange, SameVertex
+from .hypergraph import Hypergraph, degree, generate, graph_distance
 from .measure import lazy_random_walk
-from .transport import wh_exact
+from .transport import WhResult, wh_exact, wh_heuristic
 from .wasserstein import w1
 
 
@@ -60,36 +56,72 @@ def orc_alpha_h(H: Hypergraph, h: ConcaveCost, x: str, y: str, alpha,
     return (val, res) if details else val
 
 
-def lly_kind(H: Hypergraph) -> str:
-    """How to read an idleness-limit value on this ground space: the
-    at-most-3-pieces linearity backing the dyadic stabilization is proved
-    for graphs only, so on a proper hypergraph the result is labeled a
-    stabilized dyadic value rather than a certified limit."""
-    if all(len(e) == 2 for e in H.edges):
-        return "piecewise-linear-limit"
-    return "stabilized-dyadic"
+@dataclass(frozen=True)
+class CurvaturePoint:
+    """Both curvatures of one pair at one idleness; wh is the W_h result."""
+
+    x: str
+    y: str
+    alpha: Fraction
+    d: int
+    w1: Fraction
+    kappa: Fraction
+    kappa_h: float
+    wh: WhResult
 
 
-def lly(H: Hypergraph, x: str, y: str, max_k: int = 20) -> Fraction:
+def sweep(H: Hypergraph, h: ConcaveCost, pairs, alphas,
+          heuristic: bool = False, **solver_opts) -> list[CurvaturePoint]:
+    """orc_alpha and orc_alpha_h over sorted(pairs) x sorted(alphas).
+
+    Each point shares one pair of walks between the exact W1 and W_h.
+    W_h comes from wh_exact with solver_opts, or from wh_heuristic (which
+    takes no options) when heuristic is set.
+    """
+    alphas = sorted(Fraction(a) for a in alphas)
+    points = []
+    for x, y in sorted(pairs):
+        if x == y:
+            raise SameVertex("curvature needs two distinct vertices")
+        d = graph_distance(H, x, y)
+        for a in alphas:
+            mu = lazy_random_walk(H, x, a)
+            nu = lazy_random_walk(H, y, a)
+            w1_val, _ = w1(H, mu, nu)
+            if heuristic:
+                res = wh_heuristic(H, h, mu, nu)
+            else:
+                res = wh_exact(H, h, mu, nu, **solver_opts)
+            points.append(CurvaturePoint(
+                x, y, a, d, w1_val, 1 - w1_val / d,
+                1.0 - res.value / (h.h1 * d), res))
+    return points
+
+
+def lly(H: Hypergraph, x: str, y: str) -> Fraction:
     """Limit of orc_alpha/(1-alpha) as alpha -> 1, exact.
 
-    Evaluates at alpha = 1 - 2^-k for k = 4, 5, ... and returns as soon as
-    two consecutive exact values agree (the curve is piecewise linear in
-    alpha with a final linear piece; on graphs at most 3 pieces, see
-    lly_kind for the hypergraph caveat).  Raises NoStabilization with both
-    values if k reaches max_k without agreement.
+    kappa(alpha) = orc_alpha(H, x, y, alpha) is concave in alpha (Lin-Lu-Yau,
+    Tohoku Math. J. 2011, Lemma 2.1) with kappa(1) = 0, so the ratio is
+    minus the slope of the chord from alpha to 1, nondecreasing in alpha.
+    Equal ratios at alpha_k < alpha_{k+1} make alpha_k, alpha_{k+1} and 1
+    collinear on the concave curve: kappa is linear on [alpha_k, 1] and the
+    ratio is the limit.  The loop starts at alpha_0 = 1/(max(d_x, d_y) + 1),
+    d the neighbour count, and halves the distance to 1 each step.  It
+    terminates: W1 is the maximum of finitely many functions linear in
+    alpha (one per vertex of the Kantorovich dual polytope), so kappa has
+    finitely many linear pieces.  Adjacent pairs stop after two solves:
+    kappa is linear on [alpha_0, 1] there (Bourne-Cushing-Liu-Muench-
+    Peyerimhoff, SIAM J. Discrete Math. 2018, applied to the 2-section,
+    whose walk and metric are those of H).
     """
-    second_last = prev = None
-    for k in range(4, max_k + 1):
-        eps = Fraction(1, 2 ** k)
-        val = orc_alpha(H, x, y, 1 - eps) / eps
-        if prev is not None and val == prev:
+    alpha = Fraction(1, max(degree(H, x), degree(H, y)) + 1)
+    prev = None
+    while True:
+        val = orc_alpha(H, x, y, alpha) / (1 - alpha)
+        if val == prev:
             return val
-        second_last, prev = prev, val
-    raise NoStabilization(
-        f"kappa(alpha)/(1-alpha) did not stabilize by k = {max_k}: "
-        f"last values {second_last} and {prev}",
-        values=(second_last, prev))
+        prev, alpha = val, (1 + alpha) / 2
 
 
 @dataclass(frozen=True)
@@ -309,47 +341,3 @@ def _line_both_next_values(d, h, a):
     wh = 2 * h.eval(a + b / 2) + (d - 2) * h.h1 + 2 * h.eval(b / 2)
     return CatalogValues(Fraction(0), Fraction(0),
                          (d * h.h1 - wh) / (d * h.h1), kappa_h, wh)
-
-
-# ---------------------------------------------------------------------------
-# reports
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class CurvatureReport:
-    """Per-pair curvature values over an idleness grid, plus limits."""
-
-    x: str
-    y: str
-    alpha_grid: tuple
-    kappa: tuple          # exact rationals
-    kappa_h: tuple        # floats
-    statuses: tuple       # per-point solver optimality
-    lly: Fraction | None = None
-    lly_kind: str | None = None
-    hlly_estimate: float | None = None
-    hlly_diag: HllyDiagnostics | None = None
-
-
-def report(H: Hypergraph, h: ConcaveCost, x: str, y: str, alphas,
-           with_limits: bool = False, **solver_opts) -> CurvatureReport:
-    grid = tuple(Fraction(a) for a in alphas)
-    kappas = []
-    kappa_hs = []
-    statuses = []
-    for a in grid:
-        kappas.append(orc_alpha(H, x, y, a))
-        val, res = orc_alpha_h(H, h, x, y, a, details=True, **solver_opts)
-        kappa_hs.append(val)
-        statuses.append(res.optimality)
-    lly_val = None
-    kind = None
-    est = None
-    diag = None
-    if with_limits:
-        lly_val = lly(H, x, y)
-        kind = lly_kind(H)
-        est, diag = hlly(H, h, x, y, **solver_opts)
-    return CurvatureReport(x, y, grid, tuple(kappas), tuple(kappa_hs),
-                           tuple(statuses), lly_val, kind, est, diag)

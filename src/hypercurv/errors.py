@@ -91,14 +91,6 @@ class SameVertex(HypercurvError):
     pass
 
 
-class NoStabilization(HypercurvError):
-    """Dyadic limit evaluation did not settle; carries the last two values."""
-
-    def __init__(self, message, values=None):
-        super().__init__(message)
-        self.values = values
-
-
 class OutOfCatalogRange(HypercurvError):
     pass
 

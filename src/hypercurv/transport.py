@@ -694,19 +694,40 @@ def _two_paths(kernels, x, y):
     return found
 
 
+def _net_moves(pi):
+    """Reroute a -> b -> c as a -> c (b keeps its own mass) until no vertex
+    of the step coupling pi both sends and receives; the marginals stay."""
+    while True:
+        hop = next(((a, b, c) for (a, b) in sorted(pi) if a != b
+                    for (b2, c) in sorted(pi) if b2 == b != c), None)
+        if hop is None:
+            return
+        a, b, c = hop
+        m = min(pi[(a, b)], pi[(b, c)])
+        for arc, dm in (((a, b), -m), ((b, c), -m), ((a, c), m), ((b, b), m)):
+            pi[arc] = pi.get(arc, Fraction(0)) + dm
+            if pi[arc] == 0:
+                del pi[arc]
+
+
 def normalize_plan(H: Hypergraph, h: ConcaveCost, plan: TransportPlan,
                    coupling: Coupling) -> TransportPlan:
     """Rewire a plan so every coupled pair follows a single transport path.
 
-    The step costs are concave in the one-parameter exchange between two
-    paths of a pair, so the cheaper endpoint of the exchange interval is
-    taken; iterating removes multi-path pairs without ever increasing the
-    cost.
+    Each step is first netted (a -> b -> c inside one step becomes a -> c)
+    until no vertex both sends and receives, so that its sum of moves is
+    the half-L1 moved mass plan_cost charges.  The sum of moves is an upper
+    bound on that mass and its h is concave in the one-parameter exchange
+    between two paths of a pair, so the cheaper endpoint of the exchange
+    interval is taken; iterating removes multi-path pairs without ever
+    increasing the cost.
     """
     glued = plan_coupling(H, plan)
     if glued.entries != coupling.entries:
         raise NotAssociated("plan steps do not glue to the given coupling")
     kernels, _ = _step_kernels(H, plan)
+    for pi in kernels:
+        _net_moves(pi)
     edges = [s.edge for s in plan.steps]
 
     while True:

@@ -3,10 +3,19 @@
 import csv
 import io
 import json
+from fractions import Fraction
 
 import pytest
 
-from hypercurv import ConcaveCost, TransportPlan, generate, plan_cost
+from hypercurv import (
+    ConcaveCost,
+    TransportPlan,
+    generate,
+    lazy_random_walk,
+    orc_alpha,
+    plan_cost,
+    wh_heuristic,
+)
 from hypercurv.cli import main
 from hypercurv.hypergraph import GRID9_TEXT
 
@@ -99,13 +108,27 @@ class TestCurvature:
         header = capsys.readouterr().out.splitlines()[0]
         assert header == "x,y,alpha,d,w1,wh,wh_status,kappa,kappa_h"
 
+    def test_heuristic_row(self, grid9_file, capsys):
+        assert main(["curvature", grid9_file, "--h", LOG1, "--pair", "x,y",
+                     "--alpha", "1/2", "--heuristic", "--format", "json"]) == 0
+        (row,) = json.loads(capsys.readouterr().out)
+        H = generate("grid9")
+        a = Fraction(1, 2)
+        res = wh_heuristic(H, ConcaveCost.from_json(LOG1),
+                           lazy_random_walk(H, "x", a),
+                           lazy_random_walk(H, "y", a))
+        assert row["wh"] == repr(res.value)
+        assert row["wh_status"] == "heuristic-upper-bound"
+        assert row["kappa"] == str(orc_alpha(H, "x", "y", a))
+
 
 class TestLimit:
     def test_lly_only(self, tmp_path, capsys):
         p = tmp_path / "c6.hg"
         p.write_text("\n".join(f"v{i} v{(i + 1) % 6}" for i in range(6)))
-        assert main(["limit", str(p), "--pair", "v0,v1"]) == 0
-        assert "0" in capsys.readouterr().out
+        assert main(["limit", str(p), "--pair", "v0,v1",
+                     "--format", "csv"]) == 0
+        assert capsys.readouterr().out.splitlines() == ["x,y,lly", "v0,v1,0"]
 
     def test_with_h(self, tmp_path, capsys):
         p = tmp_path / "k3.hg"
@@ -155,6 +178,25 @@ class TestCatalogVerify:
     def test_line_family(self, capsys):
         assert main(["catalog", "verify", "--family", "line_both_next",
                      "--d", "2", "--h", LOG1]) == 0
+
+
+class TestErrors:
+    @pytest.mark.parametrize("spec", ['{bad', '{"family":"log"}'])
+    def test_bad_cost_spec_exits_one(self, grid9_file, capsys, spec):
+        assert main(["curvature", grid9_file, "--h", spec, "--pair", "x,y",
+                     "--alpha", "1/2"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: BadParams: ")
+        assert err.count("\n") == 1
+
+    @pytest.mark.parametrize("extra", [
+        ["--pair", "x"], ["--pair", "x,y,z"], ["--pair", "x,y", "--refine", "0"],
+        ["--pair", "x,y", "--max-states", "0"]])
+    def test_usage_errors_exit_two(self, grid9_file, extra):
+        with pytest.raises(SystemExit) as exc:
+            main(["curvature", grid9_file, "--h", LOG1, "--alpha", "1/2"]
+                 + extra)
+        assert exc.value.code == 2
 
 
 class TestSweep:

@@ -9,16 +9,22 @@ import pytest
 
 from hypercurv import (
     ConcaveCost,
+    Hypergraph,
     catalog,
     catalog_instance,
+    curvature,
+    degree,
     generate,
     graph_distance,
     hlly,
     idleness_band,
+    lazy_random_walk,
     lly,
     orc_alpha,
     orc_alpha_h,
-    report,
+    sweep,
+    wh_exact,
+    wh_heuristic,
 )
 from hypercurv.errors import (
     InfiniteDerivativeAtZero,
@@ -105,14 +111,69 @@ class TestLly:
         H, x, y = catalog_instance("line_both_next", d)
         assert lly(H, x, y) == 0
 
-    def test_no_stabilization_reports_values(self):
-        # a single dyadic sample can never certify the limit
-        from hypercurv.errors import NoStabilization
+    def test_matches_dyadic_reference_on_every_pair(self):
+        for H, x, y in _lly_pairs():
+            eps = Fraction(1, 2 ** 16)
+            assert lly(H, x, y) == orc_alpha(H, x, y, 1 - eps) / eps, (
+                H.edges, x, y)
 
-        H = generate("cycle", 5)
-        with pytest.raises(NoStabilization) as err:
-            lly(H, "v0", "v1", max_k=4)
-        assert err.value.values[1] == Fraction(1, 2)
+    def test_adjacent_pairs_take_two_solves(self, monkeypatch):
+        solves = _count_solves(monkeypatch)
+        checked = 0
+        for H, x, y in _lly_pairs():
+            if graph_distance(H, x, y) == 1:
+                solves.clear()
+                lly(H, x, y)
+                assert len(solves) == 2, (H.edges, x, y)
+                checked += 1
+        assert checked > 200
+
+    @pytest.mark.parametrize("edges,x,y,first,limit", [
+        (["u2 u3 u8", "u0 u2 u4 u6", "u0 u3 u4 u5 u8", "u0 u4 u5 u6 u8",
+          "u0 u1 u3", "u2 u3 u7"], "u3", "u6", Fraction(59, 70),
+         Fraction(6, 7)),
+        (["u0 u4 u7", "u0 u5", "u3 u8", "u1 u2 u3 u5 u7", "u3 u6"],
+         "u4", "u5", Fraction(13, 20), Fraction(7, 10)),
+    ])
+    def test_distance_two_needs_a_third_solve(self, monkeypatch, edges, x, y,
+                                              first, limit):
+        # one solve at alpha_0 is not the limit off the adjacent pairs
+        H = Hypergraph([f"u{i}" for i in range(9)],
+                       [set(e.split()) for e in edges])
+        a0 = Fraction(1, max(degree(H, x), degree(H, y)) + 1)
+        assert graph_distance(H, x, y) == 2
+        assert orc_alpha(H, x, y, a0) / (1 - a0) == first
+        solves = _count_solves(monkeypatch)
+        assert lly(H, x, y) == limit
+        assert solves == [a0, (1 + a0) / 2, (3 + a0) / 4]
+
+
+def _lly_pairs():
+    """Every pair of the catalog graphs, grid9 and seeded random
+    hypergraphs."""
+    graphs = [generate("complete", n) for n in (2, 3, 4, 5, 6)]
+    graphs += [generate("cycle", n) for n in (3, 4, 5, 6, 7, 8)]
+    graphs += [generate("path", n) for n in (2, 3, 4, 5)]
+    graphs.append(generate("grid9"))
+    rng = random.Random(81)
+    graphs += [random_hypergraph(rng, max_vertices=9, max_edges=6,
+                                 max_edge_size=5) for _ in range(100)]
+    for H in graphs:
+        for a in range(H.n):
+            for b in range(a + 1, H.n):
+                yield H, H.label(a), H.label(b)
+
+
+def _count_solves(monkeypatch):
+    """Record the alpha of every orc_alpha call lly makes."""
+    alphas = []
+
+    def counted(H, x, y, alpha):
+        alphas.append(alpha)
+        return orc_alpha(H, x, y, alpha)
+
+    monkeypatch.setattr(curvature, "orc_alpha", counted)
+    return alphas
 
 
 class TestHlly:
@@ -305,14 +366,43 @@ class TestAdjacentInfimum:
         assert overall == pytest.approx(adjacent, abs=1e-9)
 
 
-class TestReport:
-    def test_rows_and_limits(self):
+class TestSweep:
+    def test_points_and_limits(self):
         H = generate("cycle", 6)
-        rep = report(H, H_LOG, "v0", "v1", ALPHAS, with_limits=True)
-        assert len(rep.alpha_grid) == len(rep.kappa) == len(rep.kappa_h) == 4
-        assert all(s == "exact" for s in rep.statuses)
-        assert rep.lly == 0
-        assert rep.hlly_estimate == pytest.approx(
-            (H_LOG.hp1 - H_LOG.hp0) / H_LOG.h1, rel=1e-3)
-        for k, kh in zip(rep.kappa, rep.kappa_h):
-            assert kh <= float(k) + 1e-9
+        points = sweep(H, H_LOG, [("v0", "v1")], ALPHAS)
+        assert [p.alpha for p in points] == ALPHAS
+        assert all(p.wh.optimality == "exact" for p in points)
+        for p in points:
+            assert p.d == 1
+            assert p.kappa == 1 - p.w1 == orc_alpha(H, "v0", "v1", p.alpha)
+            assert p.kappa_h == orc_alpha_h(H, H_LOG, "v0", "v1", p.alpha)
+            assert p.kappa_h <= float(p.kappa) + 1e-9
+        assert lly(H, "v0", "v1") == 0
+        est, _ = hlly(H, H_LOG, "v0", "v1")
+        assert est == pytest.approx((H_LOG.hp1 - H_LOG.hp0) / H_LOG.h1,
+                                    rel=1e-3)
+
+    def test_sorted_pairs_by_sorted_alphas(self):
+        H = generate("path", 3)
+        points = sweep(H, H_LIN, [("v2", "v0"), ("v0", "v1")],
+                       ["1/2", Fraction(1, 4)])
+        assert [(p.x, p.y, p.alpha) for p in points] == [
+            ("v0", "v1", Fraction(1, 4)), ("v0", "v1", Fraction(1, 2)),
+            ("v2", "v0", Fraction(1, 4)), ("v2", "v0", Fraction(1, 2))]
+        assert points[2].d == 2
+
+    def test_solver_choice(self):
+        H = generate("grid9")
+        a = Fraction(1, 2)
+        mu = lazy_random_walk(H, "x", a)
+        nu = lazy_random_walk(H, "y", a)
+        (heur,) = sweep(H, H_LOG, [("x", "y")], [a], heuristic=True,
+                        max_states=1)
+        assert heur.wh == wh_heuristic(H, H_LOG, mu, nu)
+        (capped,) = sweep(H, H_LOG, [("x", "y")], [a], max_states=5)
+        assert capped.wh == wh_exact(H, H_LOG, mu, nu, max_states=5)
+        assert capped.wh.optimality == "heuristic-upper-bound"
+
+    def test_same_vertex(self):
+        with pytest.raises(SameVertex):
+            sweep(generate("complete", 3), H_LOG, [("v0", "v0")], ALPHAS)

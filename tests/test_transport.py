@@ -423,6 +423,31 @@ class TestPlanJson:
         assert plan_cost(H, H_TRUNC, again) == plan_cost(H, H_TRUNC, plan)
 
 
+def _random_route_plan(rng, H, mu, nu):
+    """Units of mass paired at random, each sent along a random shortest
+    path; moves with the same hop index on the same hyperedge share a step,
+    so a vertex may send and receive in one step."""
+    D = common_denominator([mu, nu])
+    units = lambda m: [v for v, p in sorted(m.weights.items())
+                       for _ in range(int(p * D))]
+    targets = units(nu)
+    rng.shuffle(targets)
+    steps = {}
+    for x, y in zip(units(mu), targets):
+        u, yid, hop = H.vertex_id(x), H.vertex_id(y), 0
+        while u != yid:
+            v = rng.choice([w for w in H.neighbors(u)
+                            if H.distance_id(w, yid) < H.distance_id(u, yid)])
+            e = next(k for k, ed in enumerate(H.edges) if u in ed and v in ed)
+            moves = steps.setdefault((hop, e), {})
+            arc = (H.label(u), H.label(v))
+            moves[arc] = moves.get(arc, Fraction(0)) + Fraction(1, D)
+            u, hop = v, hop + 1
+    return TransportPlan(mu, nu, tuple(
+        TransportStep(e, tuple((a, b, m) for (a, b), m in sorted(mv.items())))
+        for (_, e), mv in sorted(steps.items())))
+
+
 class TestNormalize:
     def test_identity_on_single_path_plan(self):
         H = generate("path", 2)
@@ -493,6 +518,26 @@ class TestNormalize:
         out = normalize_plan(H, H_LOG, plan, coup)
         again = normalize_plan(H, H_LOG, out, plan_coupling(H, out))
         assert again == out
+
+    def test_never_raises_plan_cost(self):
+        # solver plans already route every coupled pair on one path, so
+        # random-route plans are added to exercise the rewiring itself
+        rng = random.Random(2025)
+        rewired = 0
+        for trial in range(1000):
+            H = random_hypergraph(rng)
+            mu, nu = random_measure(rng, H), random_measure(rng, H)
+            h = (H_LOG, H_TRUNC)[trial % 2]
+            plans = [_random_route_plan(rng, H, mu, nu)]
+            if trial < 40:
+                plans += [wh_exact(H, h, mu, nu).plan,
+                          wh_heuristic(H, h, mu, nu).plan]
+            for plan in plans:
+                out = normalize_plan(H, h, plan, plan_coupling(H, plan))
+                assert (plan_cost(H, h, out)
+                        <= plan_cost(H, h, plan) + COST_TOL), (trial, plan)
+                rewired += out != plan
+        assert rewired > 100
 
     def test_not_associated(self):
         H, plan = self._split_plan_c4()
