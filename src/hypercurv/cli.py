@@ -356,7 +356,8 @@ def build_parser():
         sp.add_argument("--unpruned", action="store_true", default=None)
 
     def add_common(sp, with_file=True, with_h=True, with_pairs=True,
-                   with_alpha=True, with_solver=True, h_required=True):
+                   with_alpha=True, with_solver=True, h_required=True,
+                   with_heuristic=True):
         if with_file:
             sp.add_argument("file", help="hypergraph .hg file")
         if with_h:
@@ -371,6 +372,7 @@ def build_parser():
                             help="comma-separated idleness rationals p/q")
         if with_solver:
             add_solver(sp)
+        if with_solver and with_heuristic:
             sp.add_argument("--heuristic", action="store_true")
         sp.add_argument("--format", choices=["table", "json", "csv"],
                         default="table")
@@ -399,7 +401,7 @@ def build_parser():
     sp.set_defaults(func=cmd_curvature)
 
     sp = sub.add_parser("limit", help="idleness->1 limits (exact lly, hlly estimate)")
-    add_common(sp, with_alpha=False, h_required=False)
+    add_common(sp, with_alpha=False, h_required=False, with_heuristic=False)
     sp.set_defaults(func=cmd_limit)
 
     sp = sub.add_parser("bounds", help="diameter and vertex-count bounds")
@@ -449,6 +451,8 @@ def build_parser():
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    if getattr(args, "heuristic", False) and _solver_opts(args):
+        parser.error("--heuristic takes no solver options")
     try:
         return args.func(args)
     except HypercurvError as exc:

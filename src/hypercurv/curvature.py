@@ -19,7 +19,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .cost import ConcaveCost
-from .errors import InfiniteDerivativeAtZero, OutOfCatalogRange, SameVertex
+from .errors import (BadParams, InfiniteDerivativeAtZero, OutOfCatalogRange,
+                     SameVertex)
 from .hypergraph import Hypergraph, degree, generate, graph_distance
 from .measure import lazy_random_walk
 from .transport import WhResult, wh_exact, wh_heuristic
@@ -75,9 +76,12 @@ def sweep(H: Hypergraph, h: ConcaveCost, pairs, alphas,
     """orc_alpha and orc_alpha_h over sorted(pairs) x sorted(alphas).
 
     Each point shares one pair of walks between the exact W1 and W_h.
-    W_h comes from wh_exact with solver_opts, or from wh_heuristic (which
-    takes no options) when heuristic is set.
+    W_h comes from wh_exact with solver_opts, or from wh_heuristic when
+    heuristic is set; wh_heuristic takes no options, so passing both raises
+    BadParams.
     """
+    if heuristic and solver_opts:
+        raise BadParams(f"heuristic takes no options: {sorted(solver_opts)}")
     alphas = sorted(Fraction(a) for a in alphas)
     points = []
     for x, y in sorted(pairs):

@@ -654,21 +654,26 @@ def _step_kernels(H, plan):
     return kernels, seq
 
 
-def plan_coupling(H: Hypergraph, plan: TransportPlan) -> Coupling:
-    """Gluing of the plan's step couplings: the end-to-end coupling."""
-    kernels, seq = _step_kernels(H, plan)
-    glued = {(v, v): p for v, p in plan.start.weights.items()}
-    for pi, prev in zip(kernels, seq):
+def _glue(kernels, start: ProbMeasure):
+    """Glue step couplings: a pair has mass iff positive arcs join it."""
+    glued = {(v, v): p for v, p in start.weights.items()}
+    for pi in kernels:
         rows = {}
         for (a, b), m in pi.items():
             rows.setdefault(a, []).append((b, m))
         nxt = {}
         for (x, y), g in glued.items():
-            total = prev.weights[y]
-            for b, m in rows.get(y, ()):
+            total = sum(m for _, m in rows[y])
+            for b, m in rows[y]:
                 nxt[(x, b)] = nxt.get((x, b), Fraction(0)) + g * m / total
         glued = {k: v for k, v in nxt.items() if v != 0}
-    return Coupling(glued, plan.start, plan.end)
+    return glued
+
+
+def plan_coupling(H: Hypergraph, plan: TransportPlan) -> Coupling:
+    """Gluing of the plan's step couplings: the end-to-end coupling."""
+    kernels, _ = _step_kernels(H, plan)
+    return Coupling(_glue(kernels, plan.start), plan.start, plan.end)
 
 
 def _two_paths(kernels, x, y):
@@ -719,8 +724,11 @@ def normalize_plan(H: Hypergraph, h: ConcaveCost, plan: TransportPlan,
     the half-L1 moved mass plan_cost charges.  The sum of moves is an upper
     bound on that mass and its h is concave in the one-parameter exchange
     between two paths of a pair, so the cheaper endpoint of the exchange
-    interval is taken; iterating removes multi-path pairs without ever
-    increasing the cost.
+    interval is taken.  An exchange only deletes arcs, so the steps stay
+    netted and each round removes an arc; the rounds end when every pair
+    of the current gluing has one path, without ever increasing the cost.
+    Netting and exchanges re-pair mass, so the result's own coupling
+    (plan_coupling of it) may differ from the given one.
     """
     glued = plan_coupling(H, plan)
     if glued.entries != coupling.entries:
@@ -732,9 +740,7 @@ def normalize_plan(H: Hypergraph, h: ConcaveCost, plan: TransportPlan,
 
     while True:
         target = None
-        for (x, y), p in sorted(coupling.entries.items()):
-            if p <= 0:
-                continue
+        for x, y in sorted(_glue(kernels, plan.start)):
             paths = _two_paths(kernels, x, y)
             if len(paths) >= 2:
                 target = paths

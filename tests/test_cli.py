@@ -191,11 +191,22 @@ class TestErrors:
 
     @pytest.mark.parametrize("extra", [
         ["--pair", "x"], ["--pair", "x,y,z"], ["--pair", "x,y", "--refine", "0"],
-        ["--pair", "x,y", "--max-states", "0"]])
+        ["--pair", "x,y", "--max-states", "0"],
+        ["--pair", "x,y", "--heuristic", "--max-states", "5"],
+        ["--pair", "x,y", "--heuristic", "--unpruned"]])
     def test_usage_errors_exit_two(self, grid9_file, extra):
         with pytest.raises(SystemExit) as exc:
             main(["curvature", grid9_file, "--h", LOG1, "--alpha", "1/2"]
                  + extra)
+        assert exc.value.code == 2
+
+    @pytest.mark.parametrize("argv", [
+        ["wh", "--alpha", "1/2", "--heuristic", "--refine", "2"],
+        ["limit", "--heuristic"]])
+    def test_heuristic_misuse_exits_two(self, grid9_file, argv):
+        with pytest.raises(SystemExit) as exc:
+            main(argv[:1] + [grid9_file, "--h", LOG1, "--pair", "x,y"]
+                 + argv[1:])
         assert exc.value.code == 2
 
 

@@ -27,6 +27,7 @@ from hypercurv import (
     wh_heuristic,
 )
 from hypercurv.errors import (
+    BadParams,
     InfiniteDerivativeAtZero,
     OutOfCatalogRange,
     SameVertex,
@@ -396,9 +397,10 @@ class TestSweep:
         a = Fraction(1, 2)
         mu = lazy_random_walk(H, "x", a)
         nu = lazy_random_walk(H, "y", a)
-        (heur,) = sweep(H, H_LOG, [("x", "y")], [a], heuristic=True,
-                        max_states=1)
+        (heur,) = sweep(H, H_LOG, [("x", "y")], [a], heuristic=True)
         assert heur.wh == wh_heuristic(H, H_LOG, mu, nu)
+        with pytest.raises(BadParams):
+            sweep(H, H_LOG, [("x", "y")], [a], heuristic=True, max_states=1)
         (capped,) = sweep(H, H_LOG, [("x", "y")], [a], max_states=5)
         assert capped.wh == wh_exact(H, H_LOG, mu, nu, max_states=5)
         assert capped.wh.optimality == "heuristic-upper-bound"

@@ -8,6 +8,7 @@ import pytest
 
 from hypercurv import (
     ConcaveCost,
+    Hypergraph,
     ProbMeasure,
     common_denominator,
     TransportPlan,
@@ -36,6 +37,7 @@ from hypercurv.transport import (
     _edge_successors,
     _quantize,
     _step_kernels,
+    _two_paths,
 )
 from hypercurv.wasserstein import w1_units
 
@@ -536,8 +538,41 @@ class TestNormalize:
                 out = normalize_plan(H, h, plan, plan_coupling(H, plan))
                 assert (plan_cost(H, h, out)
                         <= plan_cost(H, h, plan) + COST_TOL), (trial, plan)
+                kernels, _ = _step_kernels(H, out)
+                for x, y in plan_coupling(H, out).entries:
+                    assert len(_two_paths(kernels, x, y)) == 1, (trial, plan)
                 rewired += out != plan
         assert rewired > 100
+
+    def test_netted_step_keeps_single_paths(self):
+        # step 0 sends a -> b and b -> c; netting makes it a -> c and re-pairs
+        # a with w and b with z, and b's split route to z must still collapse
+        H = Hypergraph(list("abcpqzw"), [("a", "b", "c"), ("b", "p", "q"),
+                                         ("p", "z"), ("q", "z"), ("c", "w")])
+        e = lambda *vs: H.edges.index(tuple(sorted(H.vertex_id(v)
+                                                   for v in vs)))
+        half, quarter = Fraction(1, 2), Fraction(1, 4)
+        plan = TransportPlan(
+            ProbMeasure({"a": half, "b": half}),
+            ProbMeasure({"z": half, "w": half}), (
+                TransportStep(e("a", "b", "c"),
+                              (("a", "b", half), ("b", "c", half))),
+                TransportStep(e("b", "p", "q"),
+                              (("b", "p", quarter), ("b", "q", quarter))),
+                TransportStep(e("p", "z"), (("p", "z", quarter),)),
+                TransportStep(e("q", "z"), (("q", "z", quarter),)),
+                TransportStep(e("c", "w"), (("c", "w", half),)),
+            ))
+        for h in (H_LOG, H_TRUNC):
+            out = normalize_plan(H, h, plan, plan_coupling(H, plan))
+            # four steps of mass 1/2, below 3h(1/2) + 2h(1/4) for the log
+            assert plan_cost(H, h, out) == pytest.approx(4 * h.eval(half),
+                                                         abs=COST_TOL)
+            coup = plan_coupling(H, out)
+            assert coup.entries == {("a", "w"): half, ("b", "z"): half}
+            kernels, _ = _step_kernels(H, out)
+            for x, y in coup.entries:
+                assert len(_two_paths(kernels, x, y)) == 1
 
     def test_not_associated(self):
         H, plan = self._split_plan_c4()
