@@ -232,13 +232,13 @@ def cmd_bounds(args):
     diam = bonnet_myers_bound(h, kappa, args.kind)
     rows = [{"kind": args.kind, "kappa": str(kappa), "kappa_source": source,
              "diam_bound": diam}]
-    if args.max_degree:
+    if args.max_degree is not None:
         rows[0]["vertex_bound"] = vertex_count_bound(h, kappa, args.max_degree)
     _emit(rows, args.format)
     if args.format == "table":
         label = "" if source == "given" else f" ({source})"
         msg = f"diam <= {diam}{label}"
-        if args.max_degree:
+        if args.max_degree is not None:
             msg += f", |V| <= {rows[0]['vertex_bound']}"
         print(msg)
     return 0
@@ -351,9 +351,16 @@ def build_parser():
     sub = p.add_subparsers(dest="command", required=True)
 
     def add_solver(sp):
-        sp.add_argument("--refine", type=_positive_int)
-        sp.add_argument("--max-states", type=_positive_int, dest="max_states")
-        sp.add_argument("--unpruned", action="store_true", default=None)
+        sp.add_argument("--refine", type=_positive_int,
+                        help="search the grid of refine * lcm(endpoint "
+                             "denominators) (default 1)")
+        sp.add_argument("--max-states", type=_positive_int, dest="max_states",
+                        help="expansion budget; past it the best plan found "
+                             "is reported as heuristic-upper-bound "
+                             "(default 300000)")
+        sp.add_argument("--unpruned", action="store_true", default=None,
+                        help="enumerate every successor on every hyperedge "
+                             "(slow ground truth)")
 
     def add_common(sp, with_file=True, with_h=True, with_pairs=True,
                    with_alpha=True, with_solver=True, h_required=True,
@@ -416,7 +423,7 @@ def build_parser():
     sp.add_argument("--d", type=int)
     sp.add_argument("--pair", type=_pair,
                     help="x,y (with --file; default adjacent pairs)")
-    sp.add_argument("--max-degree", type=int, dest="max_degree")
+    sp.add_argument("--max-degree", type=_positive_int, dest="max_degree")
     sp.add_argument("--kind", choices=["graph_lly", "hypergraph_hlly"],
                     default="hypergraph_hlly")
     add_solver(sp)
@@ -436,13 +443,13 @@ def build_parser():
 
     sp = sub.add_parser("sweep", help="alpha-grid curvature data")
     add_common(sp)
-    sp.add_argument("--grid", type=int, default=16,
+    sp.add_argument("--grid", type=_positive_int, default=16,
                     help="use alpha = k/grid when --alpha absent")
     sp.set_defaults(func=cmd_sweep)
 
     sp = sub.add_parser("selfcheck", help="seeded random property spot checks")
     sp.add_argument("--seed", type=int, default=0)
-    sp.add_argument("--trials", type=int, default=25)
+    sp.add_argument("--trials", type=_positive_int, default=25)
     sp.set_defaults(func=cmd_selfcheck)
 
     return p
@@ -458,8 +465,9 @@ def main(argv=None) -> int:
     except HypercurvError as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 1
-    except FileNotFoundError as exc:
-        print(f"error: FileNotFound: {exc}", file=sys.stderr)
+    except OSError as exc:
+        kind = type(exc).__name__.removesuffix("Error")
+        print(f"error: {kind}: {exc}", file=sys.stderr)
         return 1
 
 

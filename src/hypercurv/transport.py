@@ -40,6 +40,10 @@ from .measure import ProbMeasure, SignedDelta, common_denominator
 from .wasserstein import Coupling, w1, w1_units
 
 COST_TOL = 1e-12
+# wh_exact enumerates a hyperedge of three or more vertices exhaustively
+# while its mass has at most this many compositions over them, and uses the
+# structured successor family beyond (see _edge_successors).
+FULL_ENUM_LIMIT = 512
 
 
 @dataclass(frozen=True)
@@ -222,7 +226,7 @@ def _compositions(total, k):
             yield (first,) + rest
 
 
-def _edge_successors(cur, goal, hi, unpruned, full_enum_limit, skip):
+def _edge_successors(cur, goal, hi, unpruned, skip):
     """New value tuples for one edge, with the mass moved and its t.
 
     `hi` flags the edge's high-potential vertices (potential one above the
@@ -230,33 +234,27 @@ def _edge_successors(cur, goal, hi, unpruned, full_enum_limit, skip):
     successor moves onto them; the dual bound of a successor depends on t
     alone, and ``moved >= |t|``.
 
-    2-vertex edges are always enumerated exhaustively (complete on graphs).
-    Larger hyperedges are enumerated exhaustively while the composition
-    count is small, grouped by t so that a whole group is dropped when
-    `skip(t)` is true; beyond that a structured family is used: sources
-    drain to 0 or to their goal value, targets fill to their goal value,
-    one vertex absorbs the balance.  That family contains every step of
-    the worked optimal plans; the unpruned flag restores ground truth.
+    2-vertex edges (complete on graphs), edges whose composition count is
+    at most FULL_ENUM_LIMIT, and every edge under `unpruned` are enumerated
+    exhaustively, grouped by t so that a whole group is dropped when
+    `skip(t)` is true; an edge whose potentials are all equal has the one
+    group t = 0.  Larger hyperedges use a structured family: sources drain
+    to 0 or to their goal value, targets fill to their goal value, one
+    vertex absorbs the balance.  That family contains every step of the
+    worked optimal plans; the unpruned flag restores ground truth.
     """
     k = len(cur)
     M = sum(cur)
     if M == 0:
         return
-    if k == 2:
-        a, b = cur
-        s = hi[1] - hi[0]
-        for m in range(1, a + 1):
-            yield (a - m, b + m), m, s * m
-        for m in range(1, b + 1):
-            yield (a + m, b - m), m, -s * m
-        return
-    if unpruned or math.comb(M + k - 1, k - 1) <= full_enum_limit:
+    if k == 2 or unpruned or math.comb(M + k - 1, k - 1) <= FULL_ENUM_LIMIT:
         high = [i for i in range(k) if hi[i]]
         low = [i for i in range(k) if not hi[i]]
         on_high = sum(cur[i] for i in high)
         order = high + low
         place = [order.index(i) for i in range(k)]
-        for t in range(-on_high, M - on_high + 1):
+        ts = range(-on_high, M - on_high + 1) if high and low else (0,)
+        for t in ts:
             if skip(t):
                 continue
             for top in _compositions(on_high + t, len(high)):
@@ -343,18 +341,20 @@ def _quantize(H, m: ProbMeasure, D: int):
 
 def wh_exact(H: Hypergraph, h: ConcaveCost, mu: ProbMeasure, nu: ProbMeasure,
              *, refine: int = 1, max_states: int = 300_000,
-             denominator: int | None = None, unpruned: bool = False,
-             full_enum_limit: int = 512, max_steps: int | None = None,
-             seed_incumbent: bool = True) -> WhResult:
+             unpruned: bool = False) -> WhResult:
     """Best-first search for the cheapest stepwise transport on the D-grid.
 
-    Nodes are quantized measures; a successor redistributes one hyperedge's
-    mass.  The admissible, consistent heuristic is the concave envelope of
-    the remaining W1 (floor(W1) full-mass steps plus one fractional step).
-    The greedy construction seeds an incumbent so the search only explores
-    strictly cheaper plans; when the frontier drains without beating it the
-    incumbent is optimal on the grid.  On state-budget exhaustion the best
-    plan found so far is returned with optimality "heuristic-upper-bound".
+    D = refine * lcm(endpoint denominators).  Nodes are quantized measures;
+    a successor redistributes one hyperedge's mass.  The admissible,
+    consistent heuristic is the concave envelope of the remaining W1
+    (floor(W1) full-mass steps plus one fractional step).  The greedy
+    construction of wh_heuristic seeds the incumbent so the search only
+    explores strictly cheaper plans; when the goal is popped, or the
+    frontier drains without reaching it, the incumbent is optimal on the
+    grid.  Once more than max_states states are expanded the best plan
+    found so far is returned with optimality "heuristic-upper-bound".
+    unpruned=True enumerates every successor of every hyperedge instead of
+    the structured family (see _edge_successors).
 
     W1 is evaluated lazily.  An expanded state keeps the Kantorovich
     potential f of its exact W1 (see `w1_units`), and a child differing by
@@ -365,15 +365,13 @@ def wh_exact(H: Hypergraph, h: ConcaveCost, mu: ProbMeasure, nu: ProbMeasure,
     <f, delta> = t, the net mass moved onto the higher vertices, and
     moved >= |t|.  Exhaustive enumeration runs group by group in t and
     skips a group outright once g + h(|t|) + envelope(max(W1 + t, 0))
-    reaches the incumbent; 2-vertex edges and the structured family test
-    each child.
+    reaches the incumbent; the structured family tests each child.
     """
     mu.check_support(H)
     nu.check_support(H)
     if refine < 1:
         raise ValueError("refine must be a positive integer")
-    base = common_denominator([mu, nu])
-    D = denominator if denominator is not None else base * refine
+    D = common_denominator([mu, nu]) * refine
     start = _quantize(H, mu, D)
     goal = _quantize(H, nu, D)
     lower_units, f_start = w1_units(H, start, goal, D)
@@ -382,12 +380,8 @@ def wh_exact(H: Hypergraph, h: ConcaveCost, mu: ProbMeasure, nu: ProbMeasure,
         plan = TransportPlan(mu, nu, ())
         return WhResult(0.0, plan, "exact", 0.0, 0, D)
 
-    incumbent_g = math.inf
-    incumbent_plan = None
-    if seed_incumbent:
-        greedy = wh_heuristic(H, h, mu, nu)
-        incumbent_g = greedy.value
-        incumbent_plan = greedy.plan
+    greedy = wh_heuristic(H, h, mu, nu)
+    incumbent_g = greedy.value
 
     edge_lists = [tuple(e) for e in H.edges]
     goal_by_edge = [tuple(goal[v] for v in e) for e in edge_lists]
@@ -414,28 +408,26 @@ def wh_exact(H: Hypergraph, h: ConcaveCost, mu: ProbMeasure, nu: ProbMeasure,
     closed = set()
     counter = itertools.count()
     f0 = env_of(lower_units)
-    heap = [(round(f0, 12), 0.0, 0, next(counter), start, 0.0, True,
+    heap = [(round(f0, 12), 0.0, next(counter), start, 0.0, True,
              lower_units, f_start)]
-    goal_reached = False
     expanded = 0
     exhausted = False
 
     while heap:
-        f, _negg, nsteps, _, state, g, evaluated, w1u, pot = heapq.heappop(heap)
+        f, _negg, _, state, g, evaluated, w1u, pot = heapq.heappop(heap)
         if state in closed:
             continue
         if g > g_best.get(state, math.inf) + 1e-15:
             continue
         if state == goal:
-            plan = _reconstruct(H, mu, nu, parents, goal, D)
-            return WhResult(g, plan, "exact", lower, expanded, D)
+            break
         if not evaluated:
             true_units, pot = w1_units(H, state, goal, D)
             ft = g + env_of(true_units)
             if ft >= incumbent_g - COST_TOL:
                 continue
             if round(ft, 12) > f:
-                heapq.heappush(heap, (round(ft, 12), -g, nsteps, next(counter),
+                heapq.heappush(heap, (round(ft, 12), -g, next(counter),
                                       state, g, True, true_units, pot))
                 continue
             w1u = true_units
@@ -444,8 +436,6 @@ def wh_exact(H: Hypergraph, h: ConcaveCost, mu: ProbMeasure, nu: ProbMeasure,
         if expanded > max_states:
             exhausted = True
             break
-        if max_steps is not None and nsteps >= max_steps:
-            continue
 
         def skip(t):
             return (g + cost_of(abs(t)) + env_of(max(w1u + t, 0))
@@ -456,7 +446,7 @@ def wh_exact(H: Hypergraph, h: ConcaveCost, mu: ProbMeasure, nu: ProbMeasure,
             base = min(pot[v] for v in edge)
             hi = tuple(pot[v] - base for v in edge)
             for new_vals, moved, t in _edge_successors(
-                    cur, goal_by_edge[k], hi, unpruned, full_enum_limit, skip):
+                    cur, goal_by_edge[k], hi, unpruned, skip):
                 g2 = g + cost_of(moved)
                 bound = env_of(max(w1u + t, 0))
                 if g2 + bound >= incumbent_g - COST_TOL:
@@ -473,29 +463,19 @@ def wh_exact(H: Hypergraph, h: ConcaveCost, mu: ProbMeasure, nu: ProbMeasure,
                 parents[child] = (state, k, edge, cur, new_vals)
                 if child == goal:
                     incumbent_g = g2
-                    goal_reached = True
-                heapq.heappush(heap, (round(g2 + bound, 12), -g2, nsteps + 1,
-                                      next(counter), child, g2, False, 0, None))
+                heapq.heappush(heap, (round(g2 + bound, 12), -g2,
+                                      next(counter), child, g2, False, 0,
+                                      None))
 
-    # Frontier drained: nothing can beat the incumbent, so it is optimal
-    # (within the per-comparison tolerance and the quantization/pruning
-    # assumptions).  A drained frontier under a state budget or a step cap
-    # is still only an upper bound.
-    if goal_reached:
-        plan = _reconstruct(H, mu, nu, parents, goal, D)
-        value = g_best[goal]
-        if incumbent_plan is not None and incumbent_g < value:
-            value, plan = incumbent_g, incumbent_plan
-        status = "heuristic-upper-bound" if (exhausted or max_steps is not None) \
-            else "exact"
-        return WhResult(value, plan, status, lower, expanded, D)
-    if incumbent_plan is not None:
-        status = "heuristic-upper-bound" if (exhausted or max_steps is not None) \
-            else "exact"
-        return WhResult(incumbent_g, incumbent_plan, status, lower, expanded, D)
-    fallback = wh_heuristic(H, h, mu, nu)
-    return WhResult(fallback.value, fallback.plan, "heuristic-upper-bound",
-                    lower, expanded, D)
+    # Pushing the goal makes it the incumbent, so incumbent_g is the best
+    # plan found.  It is optimal on the grid (within the per-comparison
+    # tolerance and the quantization/pruning assumptions) once the goal is
+    # popped or the frontier drains without it; a pushed goal is left
+    # unpopped only when the state budget ran out.
+    plan = (_reconstruct(H, mu, nu, parents, goal, D) if goal in parents
+            else greedy.plan)
+    status = "heuristic-upper-bound" if exhausted else "exact"
+    return WhResult(incumbent_g, plan, status, lower, expanded, D)
 
 
 def _reconstruct(H, mu, nu, parents, goal, D):

@@ -178,9 +178,12 @@ def test_criterion_6_sandwich_and_metric():
         if trial % 4 == 0:
             rho = random_measure(rng, H)
             D = common_denominator([mu, nu, rho])
-            ab = wh_exact(H, H_LOG, mu, rho, denominator=D).value
-            bc = wh_exact(H, H_LOG, rho, nu, denominator=D).value
-            ac = wh_exact(H, H_LOG, mu, nu, denominator=D).value
+
+            def on_grid(m, n):
+                return wh_exact(H, H_LOG, m, n,
+                                refine=D // common_denominator([m, n])).value
+
+            ab, bc, ac = on_grid(mu, rho), on_grid(rho, nu), on_grid(mu, nu)
             assert ac <= ab + bc + 1e-9
     _verdict(6, "sandwich + symmetry(1e-12) + triangle(1e-9) on 200 instances")
 

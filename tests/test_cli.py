@@ -54,6 +54,12 @@ class TestValidate:
         assert main(["validate", "no-such-file.hg"]) == 1
         assert capsys.readouterr().err.startswith("error:")
 
+    def test_directory_exits_one(self, tmp_path, capsys):
+        assert main(["validate", str(tmp_path)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: IsADirectory: ")
+        assert err.count("\n") == 1
+
 
 class TestDist:
     def test_pair(self, grid9_file, capsys):
@@ -198,6 +204,18 @@ class TestErrors:
         with pytest.raises(SystemExit) as exc:
             main(["curvature", grid9_file, "--h", LOG1, "--alpha", "1/2"]
                  + extra)
+        assert exc.value.code == 2
+
+    @pytest.mark.parametrize("argv", [
+        ["sweep", "FILE", "--h", LOG1, "--pair", "x,y", "--grid", "0"],
+        ["sweep", "FILE", "--h", LOG1, "--pair", "x,y", "--grid", "-1"],
+        ["bounds", "--h", LOG1, "--kappa", "1/2", "--max-degree", "-3"],
+        ["bounds", "--h", LOG1, "--kappa", "1/2", "--max-degree", "0"],
+        ["selfcheck", "--trials", "-2"],
+        ["selfcheck", "--trials", "0"]])
+    def test_bad_counts_exit_two(self, grid9_file, argv):
+        with pytest.raises(SystemExit) as exc:
+            main([grid9_file if a == "FILE" else a for a in argv])
         assert exc.value.code == 2
 
     @pytest.mark.parametrize("argv", [

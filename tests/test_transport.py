@@ -31,6 +31,7 @@ from hypercurv.errors import (
     NotAssociated,
     StepLeavesHyperedge,
 )
+from hypercurv import transport
 from hypercurv.transport import (
     COST_TOL,
     _compositions,
@@ -211,9 +212,12 @@ class TestExact:
             b = random_measure(rng, H)
             c = random_measure(rng, H)
             D = common_denominator([a, b, c])
-            ab = wh_exact(H, H_LOG, a, b, denominator=D).value
-            bc = wh_exact(H, H_LOG, b, c, denominator=D).value
-            ac = wh_exact(H, H_LOG, a, c, denominator=D).value
+
+            def on_grid(m, n):
+                return wh_exact(H, H_LOG, m, n,
+                                refine=D // common_denominator([m, n])).value
+
+            ab, bc, ac = on_grid(a, b), on_grid(b, c), on_grid(a, c)
             assert ac <= ab + bc + 1e-9
 
     def test_identity_of_indiscernibles(self, rng):
@@ -237,18 +241,20 @@ class TestExact:
                 v2_ = wh_exact(H, H_LOG, mu, nu, refine=2).value
                 assert v1_ == pytest.approx(v2_, abs=1e-9)
 
-    def test_unpruned_matches_default(self, rng):
+    def test_unpruned_matches_default(self, rng, monkeypatch):
+        monkeypatch.setattr(transport, "FULL_ENUM_LIMIT", 0)
         for _ in range(12):
             H = random_hypergraph(rng)
             mu = random_measure(rng, H, max_denominator=8)
             nu = random_measure(rng, H, max_denominator=8)
             full = wh_exact(H, H_LOG, mu, nu, unpruned=True)
-            fast = wh_exact(H, H_LOG, mu, nu, full_enum_limit=0)
+            fast = wh_exact(H, H_LOG, mu, nu)
             assert full.value == pytest.approx(fast.value, abs=1e-12)
 
-    def test_structured_family_matches_ground_truth(self):
+    def test_structured_family_matches_ground_truth(self, monkeypatch):
         # the step family used beyond the exhaustive-enumeration threshold
         # must reproduce exhaustive optima across cost families
+        monkeypatch.setattr(transport, "FULL_ENUM_LIMIT", 0)
         rng = random.Random(314159)
         costs = [H_LOG, H_TRUNC, ConcaveCost("trunc_log_combo", a=Fraction(1, 2)),
                  ConcaveCost("power", a=Fraction(1, 2))]
@@ -258,7 +264,7 @@ class TestExact:
             nu = random_measure(rng, H, max_denominator=8)
             h = costs[trial % len(costs)]
             full = wh_exact(H, h, mu, nu, unpruned=True)
-            fast = wh_exact(H, h, mu, nu, full_enum_limit=0)
+            fast = wh_exact(H, h, mu, nu)
             assert fast.value == pytest.approx(full.value, abs=1e-9)
 
     def test_budget_exhaustion_flagged(self):
@@ -271,18 +277,34 @@ class TestExact:
                                                               abs=1e-12)
         assert res.value >= res.lower_bound - 1e-12
 
+    def test_budget_exhaustion_after_goal_pushed(self, monkeypatch):
+        # The step into the goal is tight for the envelope bound (inside a
+        # hyperedge W1 is the moved mass m <= 1, and envelope(m) = h(m)), so
+        # the goal is popped right after it is pushed.  Half the envelope is
+        # still admissible and leaves states to expand in between: on grid9
+        # x,y at 1/8 the goal is pushed by expansion 1,185 and popped at
+        # 15,985, so a budget of 1,500 runs out with the goal on the heap.
+        envelope = transport._envelope
+        monkeypatch.setattr(transport, "_envelope",
+                            lambda h, w: 0.5 * envelope(h, w))
+        H = generate("grid9")
+        mu = lazy_random_walk(H, "x", Fraction(1, 8))
+        nu = lazy_random_walk(H, "y", Fraction(1, 8))
+        greedy = wh_heuristic(H, H_LOG, mu, nu).value
+        res = wh_exact(H, H_LOG, mu, nu, max_states=1500)
+        assert res.optimality == "heuristic-upper-bound"
+        assert plan_cost(H, H_LOG, res.plan) == pytest.approx(res.value,
+                                                              abs=1e-12)
+        assert res.value <= greedy
+        # the searched plan to the pushed goal, not the greedy seed
+        assert res.value < greedy - 1e-12
+
     def test_infeasible_quantization(self):
         H = generate("complete", 3)
         mu = lazy_random_walk(H, "v0", Fraction(1, 3))
         nu = lazy_random_walk(H, "v1", Fraction(1, 3))
         with pytest.raises(InfeasibleQuantization):
-            wh_exact(H, H_LOG, mu, nu, denominator=4)
-
-    def test_max_steps_caps_plan_length(self):
-        H = generate("path", 3)
-        res = wh_exact(H, H_LOG, dirac(H, "v0"), dirac(H, "v3"), max_steps=5)
-        assert res.value == pytest.approx(3 * H_LOG.h1, abs=1e-12)
-        assert len(res.plan.steps) <= 5
+            _quantize(H, mu, 4)
 
 
 class TestDualBound:
@@ -314,9 +336,10 @@ class TestDualBound:
                              for v, g in enumerate(goal) if g}))[0]
 
     @pytest.mark.parametrize("unpruned", [True, False])
-    def test_child_bound_sandwich(self, unpruned):
+    def test_child_bound_sandwich(self, unpruned, monkeypatch):
         # w1u - moved <= w1u + <f, delta> <= W1(child) for every successor,
         # exhaustive (grouped by t) and structured alike
+        monkeypatch.setattr(transport, "FULL_ENUM_LIMIT", 0)
         for H, start, goal, D in self._instances(578, 30):
             w1u, f = w1_units(H, start, goal, D)
             for edge in H.edges:
@@ -326,7 +349,7 @@ class TestDualBound:
                 assert set(hi) <= {0, 1}
                 goal_e = tuple(goal[v] for v in edge)
                 for new, moved, t in _edge_successors(
-                        cur, goal_e, hi, unpruned, 0, lambda t: False):
+                        cur, goal_e, hi, unpruned, lambda t: False):
                     dot = sum(f[v] * (n - c) for v, c, n in zip(edge, cur, new))
                     assert dot == t
                     child = list(start)
@@ -343,10 +366,10 @@ class TestDualBound:
         hi = (0, 1, 1, 0)
         every = set(_compositions(sum(cur), 4)) - {cur}
         out = [new for new, _, _ in _edge_successors(
-            cur, cur, hi, True, 0, lambda t: False)]
+            cur, cur, hi, True, lambda t: False)]
         assert len(out) == len(set(out)) and set(out) == every
         kept = {new for new, _, t in _edge_successors(
-            cur, cur, hi, True, 0, lambda t: t == -1)}
+            cur, cur, hi, True, lambda t: t == -1)}
         assert kept == {c for c in every if c[1] + c[2] - 2 != -1}
 
     @pytest.mark.parametrize("alpha,value", [
