@@ -28,9 +28,9 @@ from .curvature import (
     orc_alpha_h,
     sweep,
 )
-from .errors import HypercurvError
+from .errors import BadParams, HypercurvError
 from .hypergraph import Hypergraph, graph_distance, parse_hypergraph
-from .measure import lazy_random_walk
+from .measure import ProbMeasure, lazy_random_walk
 from .transport import plan_cost, wh_exact, wh_heuristic
 from .wasserstein import w1
 
@@ -45,7 +45,10 @@ def _fraction(text):
 
 
 def _alpha_list(text):
-    return [_fraction(t) for t in text.split(",") if t]
+    alphas = [_fraction(t) for t in text.split(",") if t]
+    if not alphas:
+        raise argparse.ArgumentTypeError(f"no idleness given: {text!r}")
+    return alphas
 
 
 def _pair(text):
@@ -62,8 +65,13 @@ def _positive_int(text):
 
 
 def _load(path, allow_nonsimple=False) -> Hypergraph:
-    with open(path, "r", encoding="utf-8") as fh:
-        return parse_hypergraph(fh.read(), strict=not allow_nonsimple)
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            text = fh.read()
+    except UnicodeDecodeError as exc:
+        raise BadParams(f"{path} is not UTF-8 text ({exc.reason} at byte "
+                        f"{exc.start})") from None
+    return parse_hypergraph(text, strict=not allow_nonsimple)
 
 
 def _pairs(H: Hypergraph, args):
@@ -98,7 +106,7 @@ def _emit(rows, fmt, stream=None):
 
 
 def _solver_opts(args):
-    return {k: getattr(args, k) for k in ("refine", "max_states", "unpruned")
+    return {k: getattr(args, k) for k in ("max_states", "unpruned")
             if getattr(args, k) is not None}
 
 
@@ -141,9 +149,6 @@ def cmd_w1(args):
 
 
 def cmd_wh(args):
-    if not args.alpha:
-        print("error: Usage: --alpha is required", file=sys.stderr)
-        return 2
     H = _load(args.file)
     h = ConcaveCost.from_json(args.h)
     rows = []
@@ -183,9 +188,6 @@ def _emit_sweep(args, alphas):
 
 
 def cmd_curvature(args):
-    if not args.alpha:
-        print("error: Usage: --alpha is required", file=sys.stderr)
-        return 2
     return _emit_sweep(args, args.alpha)
 
 
@@ -280,7 +282,6 @@ def cmd_sweep(args):
 
 def cmd_selfcheck(args):
     """Random sandwich/symmetry/linearity spot checks (seeded)."""
-    from .measure import common_denominator
     rng = random.Random(args.seed)
     h_log = ConcaveCost("log", a=1)
     h_lin = ConcaveCost("linear", a=1)
@@ -290,7 +291,6 @@ def cmd_selfcheck(args):
         mu = _random_measure(rng, H)
         nu = _random_measure(rng, H)
         val, _ = w1(H, mu, nu)
-        D = common_denominator([mu, nu])
         res = wh_exact(H, h_log, mu, nu)
         back = wh_exact(H, h_log, nu, mu)
         lin = wh_exact(H, h_lin, mu, nu)
@@ -308,7 +308,6 @@ def cmd_selfcheck(args):
 
 
 def _random_hypergraph(rng):
-    from .hypergraph import Hypergraph
     while True:
         n = rng.randint(3, 6)
         labels = [f"u{i}" for i in range(n)]
@@ -327,7 +326,6 @@ def _random_hypergraph(rng):
 
 
 def _random_measure(rng, H):
-    from .measure import ProbMeasure
     D = rng.choice([4, 6, 8, 12])
     k = rng.randint(1, min(4, H.n))
     verts = rng.sample(list(H.vertices), k)
@@ -351,9 +349,6 @@ def build_parser():
     sub = p.add_subparsers(dest="command", required=True)
 
     def add_solver(sp):
-        sp.add_argument("--refine", type=_positive_int,
-                        help="search the grid of refine * lcm(endpoint "
-                             "denominators) (default 1)")
         sp.add_argument("--max-states", type=_positive_int, dest="max_states",
                         help="expansion budget; past it the best plan found "
                              "is reported as heuristic-upper-bound "
@@ -364,7 +359,7 @@ def build_parser():
 
     def add_common(sp, with_file=True, with_h=True, with_pairs=True,
                    with_alpha=True, with_solver=True, h_required=True,
-                   with_heuristic=True):
+                   alpha_required=True, with_heuristic=True):
         if with_file:
             sp.add_argument("file", help="hypergraph .hg file")
         if with_h:
@@ -375,7 +370,8 @@ def build_parser():
             grp.add_argument("--pair", type=_pair, help="x,y vertex labels")
             grp.add_argument("--pairs", choices=["all", "adjacent"])
         if with_alpha:
-            sp.add_argument("--alpha", type=_alpha_list, default=[],
+            sp.add_argument("--alpha", type=_alpha_list,
+                            required=alpha_required,
                             help="comma-separated idleness rationals p/q")
         if with_solver:
             add_solver(sp)
@@ -442,7 +438,7 @@ def build_parser():
     spv.set_defaults(func=cmd_catalog_verify)
 
     sp = sub.add_parser("sweep", help="alpha-grid curvature data")
-    add_common(sp)
+    add_common(sp, alpha_required=False)
     sp.add_argument("--grid", type=_positive_int, default=16,
                     help="use alpha = k/grid when --alpha absent")
     sp.set_defaults(func=cmd_sweep)

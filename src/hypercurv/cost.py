@@ -60,6 +60,10 @@ class ConcaveCost:
             self.points = sorted((Fraction(x), float(y)) for x, y in points)
             if self.points[0][0] != 0 or self.points[-1][0] != 1:
                 raise ValueError("tabulated cost must cover [0, 1]")
+            if not all(math.isfinite(y) for _, y in self.points):
+                raise ValueError("tabulated samples must be finite")
+            if any(p[0] == q[0] for p, q in zip(self.points, self.points[1:])):
+                raise ValueError("tabulated sample points must be distinct")
         elif self.a is None or self.a <= 0:
             raise ValueError("parameter a must be a positive rational")
         if family == "power" and not 0 < self.a < 1:
@@ -158,16 +162,31 @@ class ConcaveCost:
 
     # -- validation ---------------------------------------------------------------
 
+    def _shape(self):
+        """(h(0) == 0, monotone, concave), tested on sample points.
+
+        A tabulated cost is tested on its own breakpoints, which is exact
+        for a piecewise-linear function: it is monotone iff its samples
+        are, and concave iff no sample lies below the chord of its
+        neighbours.  Built-in families are tested on the k/256 grid.
+        """
+        samples = self.points or [(x, self.eval(x)) for x in _GRID]
+        pts = [(float(x), y) for x, y in samples]
+        ys = [y for _, y in pts]
+        monotone = all(v >= u - 1e-12 for u, v in zip(ys, ys[1:]))
+        concave = all(y1 >= y0 + (y2 - y0) * (x1 - x0) / (x2 - x0) - 1e-12
+                      for (x0, y0), (x1, y1), (x2, y2)
+                      in zip(pts, pts[1:], pts[2:]))
+        return ys[0] == 0.0, monotone, concave
+
     def _check_shape(self):
-        vals = [self.eval(x) for x in _GRID]
-        if abs(vals[0]) > 0:
+        zero, monotone, concave = self._shape()
+        if not zero:
             raise NotConcave("h(0) must be 0")
-        for u, v in zip(vals, vals[1:]):
-            if v < u - 1e-12:
-                raise NotConcave("h must be monotone nondecreasing")
-        for k in range(1, len(vals) - 1):
-            if vals[k] < (vals[k - 1] + vals[k + 1]) / 2 - 1e-12:
-                raise NotConcave("h must be concave")
+        if not monotone:
+            raise NotConcave("h must be monotone nondecreasing")
+        if not concave:
+            raise NotConcave("h must be concave")
 
     def check_assumption(self) -> AssumptionReport:
         """Report which of the standing conditions on h hold.
@@ -175,12 +194,9 @@ class ConcaveCost:
         The power family is usable wherever h'(0) is not needed, so a
         failing hp0 flag here is a gate, not a construction error.
         """
-        vals = [self.eval(x) for x in _GRID]
-        monotone = all(v >= u - 1e-12 for u, v in zip(vals, vals[1:]))
-        concave = all(vals[k] >= (vals[k - 1] + vals[k + 1]) / 2 - 1e-12
-                      for k in range(1, len(vals) - 1))
+        zero, monotone, concave = self._shape()
         return AssumptionReport(
-            zero_at_zero=vals[0] == 0.0,
+            zero_at_zero=zero,
             monotone=monotone,
             concave=concave,
             hp0_finite_positive=0 < self.hp0 < math.inf,

@@ -81,10 +81,6 @@ class NotAssociated(HypercurvError):
     pass
 
 
-class InfeasibleQuantization(HypercurvError):
-    pass
-
-
 # -- curvature ---------------------------------------------------------------
 
 class SameVertex(HypercurvError):

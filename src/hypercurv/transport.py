@@ -5,12 +5,22 @@ single hyperedge; a step moving total mass m costs h(m).  The distance is
 the minimal total cost over all plans joining two measures.  Masses are
 exact rationals throughout; floating point enters only through h.
 
-The exact solver searches measures quantized to a common denominator D
-(endpoint lcm times a refine factor).  Optimal plans are assumed to live
-on that grid: step-cost minimization for a fixed plan structure is a
-concave minimization over a network-flow polytope with rational data, so
-extreme-point optima have grid-rational masses.  This is an assumption,
-not a theorem; the refine knob and the grid-stability test guard it.
+The exact solver searches measures in units of 1/D, where D is the lcm of
+the endpoint denominators, and loses no optimum by it.  Fix a plan's
+hyperedge sequence e_1..e_I.  Its plans are the flows of a time-expanded
+network with a node (v, i) per vertex and step, arcs (v, i-1) -> (w, i)
+for v, w in e_i (moves) or v = w (stays), supply mu on layer 0 and demand
+nu on layer I.  Charge step i by h(sum of its move flows): the sum bounds
+the step's moved mass and h is nondecreasing, so this never undercuts the
+plan cost, and netting the moves (a -> b -> c becomes a -> c) makes the
+two equal.  The charge is concave and the flows form a bounded polytope,
+so the minimum is at a vertex.  Node-arc incidence matrices are totally
+unimodular, so with supplies and demands in units of 1/D every vertex has
+flows in units of 1/D (Schrijver, Theory of Linear and Integer
+Programming, 1986, ch. 19).  Hence every plan is matched, at no higher
+cost, by a grid plan with the same sequence.  Every grid step costs at
+least h(1/D) > 0 (unless h(1) = 0 and every plan is free), so only
+finitely many grid plans lie below any cost and the minimum is attained.
 
 The search prices successors by Kantorovich-Rubinstein duality: the exact
 W1 solve of an expanded state also yields a 1-Lipschitz potential f with
@@ -30,7 +40,6 @@ from fractions import Fraction
 from .cost import ConcaveCost
 from .errors import (
     EndpointMismatch,
-    InfeasibleQuantization,
     NegativeIntermediateMass,
     NotAssociated,
     StepLeavesHyperedge,
@@ -331,28 +340,25 @@ def _edge_successors(cur, goal, hi, unpruned, skip):
 def _quantize(H, m: ProbMeasure, D: int):
     units = [0] * H.n
     for v, p in m.weights.items():
-        q = p * D
-        if q.denominator != 1:
-            raise InfeasibleQuantization(
-                f"weight {p} of {v!r} is not a multiple of 1/{D}")
-        units[H.vertex_id(v)] = int(q)
+        units[H.vertex_id(v)] = int(p * D)
     return tuple(units)
 
 
 def wh_exact(H: Hypergraph, h: ConcaveCost, mu: ProbMeasure, nu: ProbMeasure,
-             *, refine: int = 1, max_states: int = 300_000,
+             *, max_states: int = 300_000,
              unpruned: bool = False) -> WhResult:
-    """Best-first search for the cheapest stepwise transport on the D-grid.
+    """Best-first search for the cheapest stepwise transport.
 
-    D = refine * lcm(endpoint denominators).  Nodes are quantized measures;
-    a successor redistributes one hyperedge's mass.  The admissible,
-    consistent heuristic is the concave envelope of the remaining W1
-    (floor(W1) full-mass steps plus one fractional step).  The greedy
-    construction of wh_heuristic seeds the incumbent so the search only
-    explores strictly cheaper plans; when the goal is popped, or the
-    frontier drains without reaching it, the incumbent is optimal on the
-    grid.  Once more than max_states states are expanded the best plan
-    found so far is returned with optimality "heuristic-upper-bound".
+    Nodes are measures in units of 1/D, D = lcm(endpoint denominators),
+    which holds an optimal plan (see the module docstring); a successor
+    redistributes one hyperedge's mass.  The admissible, consistent
+    heuristic is the concave envelope of the remaining W1 (floor(W1)
+    full-mass steps plus one fractional step).  The greedy construction
+    of wh_heuristic seeds the incumbent so the search only explores
+    strictly cheaper plans; when the goal is popped, or the frontier
+    drains without reaching it, the incumbent is optimal.  Once more than
+    max_states states are expanded the best plan found so far is returned
+    with optimality "heuristic-upper-bound".
     unpruned=True enumerates every successor of every hyperedge instead of
     the structured family (see _edge_successors).
 
@@ -367,11 +373,15 @@ def wh_exact(H: Hypergraph, h: ConcaveCost, mu: ProbMeasure, nu: ProbMeasure,
     skips a group outright once g + h(|t|) + envelope(max(W1 + t, 0))
     reaches the incumbent; the structured family tests each child.
     """
+    return _search(H, h, mu, nu, common_denominator([mu, nu]), max_states,
+                   unpruned)
+
+
+def _search(H, h, mu, nu, D, max_states, unpruned):
+    """wh_exact on the grid of 1/D; D is a multiple of every endpoint
+    denominator."""
     mu.check_support(H)
     nu.check_support(H)
-    if refine < 1:
-        raise ValueError("refine must be a positive integer")
-    D = common_denominator([mu, nu]) * refine
     start = _quantize(H, mu, D)
     goal = _quantize(H, nu, D)
     lower_units, f_start = w1_units(H, start, goal, D)
@@ -468,9 +478,9 @@ def wh_exact(H: Hypergraph, h: ConcaveCost, mu: ProbMeasure, nu: ProbMeasure,
                                       None))
 
     # Pushing the goal makes it the incumbent, so incumbent_g is the best
-    # plan found.  It is optimal on the grid (within the per-comparison
-    # tolerance and the quantization/pruning assumptions) once the goal is
-    # popped or the frontier drains without it; a pushed goal is left
+    # plan found.  It is optimal (within the per-comparison tolerance, and
+    # up to the structured successor family unless unpruned) once the goal
+    # is popped or the frontier drains without it; a pushed goal is left
     # unpopped only when the state budget ran out.
     plan = (_reconstruct(H, mu, nu, parents, goal, D) if goal in parents
             else greedy.plan)

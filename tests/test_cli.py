@@ -60,6 +60,14 @@ class TestValidate:
         assert err.startswith("error: IsADirectory: ")
         assert err.count("\n") == 1
 
+    def test_binary_file_exits_one(self, tmp_path, capsys):
+        p = tmp_path / "binary.hg"
+        p.write_bytes(b"a b\n\xff\xfe c\n")
+        assert main(["validate", str(p)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: BadParams: ") and str(p) in err
+        assert err.count("\n") == 1
+
 
 class TestDist:
     def test_pair(self, grid9_file, capsys):
@@ -89,7 +97,9 @@ class TestWh:
                                                       abs=1e-9)
 
     def test_alpha_required(self, grid9_file):
-        assert main(["wh", grid9_file, "--h", LOG1, "--pair", "x,y"]) == 2
+        with pytest.raises(SystemExit) as exc:
+            main(["wh", grid9_file, "--h", LOG1, "--pair", "x,y"])
+        assert exc.value.code == 2
 
 
 class TestCurvature:
@@ -187,7 +197,9 @@ class TestCatalogVerify:
 
 
 class TestErrors:
-    @pytest.mark.parametrize("spec", ['{bad', '{"family":"log"}'])
+    @pytest.mark.parametrize("spec", [
+        '{bad', '{"family":"log"}',
+        '{"family":"tabulated","points":[[0,0],["1/2",NaN],[1,1]]}'])
     def test_bad_cost_spec_exits_one(self, grid9_file, capsys, spec):
         assert main(["curvature", grid9_file, "--h", spec, "--pair", "x,y",
                      "--alpha", "1/2"]) == 1
@@ -195,8 +207,25 @@ class TestErrors:
         assert err.startswith("error: BadParams: ")
         assert err.count("\n") == 1
 
+    def test_non_monotone_tabulated_exits_one(self, grid9_file, capsys):
+        spec = ('{"family":"tabulated",'
+                '"points":[[0,0],["511/512",1.0],[1,0.999]]}')
+        assert main(["curvature", grid9_file, "--h", spec, "--pair", "x,y",
+                     "--alpha", "1/2"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: NotConcave: ")
+        assert err.count("\n") == 1
+
+    @pytest.mark.parametrize("command", ["w1", "wh", "curvature"])
+    @pytest.mark.parametrize("alpha", [[], ["--alpha", ","]])
+    def test_missing_alpha_exits_two(self, grid9_file, command, alpha):
+        cost = [] if command == "w1" else ["--h", LOG1]
+        with pytest.raises(SystemExit) as exc:
+            main([command, grid9_file, "--pair", "x,y"] + cost + alpha)
+        assert exc.value.code == 2
+
     @pytest.mark.parametrize("extra", [
-        ["--pair", "x"], ["--pair", "x,y,z"], ["--pair", "x,y", "--refine", "0"],
+        ["--pair", "x"], ["--pair", "x,y,z"], ["--pair", "x,y", "--refine", "1"],
         ["--pair", "x,y", "--max-states", "0"],
         ["--pair", "x,y", "--heuristic", "--max-states", "5"],
         ["--pair", "x,y", "--heuristic", "--unpruned"]])
@@ -219,7 +248,7 @@ class TestErrors:
         assert exc.value.code == 2
 
     @pytest.mark.parametrize("argv", [
-        ["wh", "--alpha", "1/2", "--heuristic", "--refine", "2"],
+        ["wh", "--alpha", "1/2", "--heuristic", "--max-states", "2"],
         ["limit", "--heuristic"]])
     def test_heuristic_misuse_exits_two(self, grid9_file, argv):
         with pytest.raises(SystemExit) as exc:

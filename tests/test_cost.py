@@ -101,6 +101,26 @@ class TestAssumption:
         with pytest.raises(NotConcave):
             ConcaveCost("tabulated", points=pts)
 
+    @pytest.mark.parametrize("pts", [
+        # decreasing on the last segment only, between two k/256 samples
+        [(0, 0.0), (Fraction(511, 512), 1.0), (1, 0.999)],
+        # a convex kink inside the first k/256 cell
+        [(0, 0.0), (Fraction(1, 1000), 0.0), (Fraction(1, 500), 0.01),
+         (1, 1.0)],
+        # h(0) = 0.5 at the first sample, though eval(0) is 0.0 for every cost
+        [(0, 0.5), (1, 1.0)]])
+    def test_tabulated_tested_at_breakpoints(self, pts):
+        with pytest.raises(NotConcave):
+            ConcaveCost("tabulated", points=pts)
+
+    @pytest.mark.parametrize("pts", [
+        [(0, 0.0), (Fraction(1, 2), math.nan), (1, 1.0)],
+        [(0, 0.0), (Fraction(1, 2), math.inf), (1, 1.0)],
+        [(0, 0.0), (Fraction(1, 2), 0.6), (Fraction(1, 2), 0.7), (1, 1.0)]])
+    def test_malformed_tabulated_rejected(self, pts):
+        with pytest.raises(ValueError):
+            ConcaveCost("tabulated", points=pts)
+
     def test_convex_power_rejected(self):
         with pytest.raises(ValueError):
             ConcaveCost("power", a=2)

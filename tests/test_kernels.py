@@ -1,12 +1,10 @@
-"""The pure kernel's values and dual certificate, and backend equivalence:
-the compiled kernel must replicate the pure one."""
+"""The transport kernel's values and dual certificate."""
 
 import random
 
 import pytest
 
 from hypercurv import kernels
-from hypercurv import _mcf_py
 
 
 def random_instance(rng, max_side=6, max_supply=30, max_cost=9):
@@ -24,19 +22,19 @@ def random_instance(rng, max_side=6, max_supply=30, max_cost=9):
 
 class TestPureKernel:
     def test_single_cell(self):
-        total, _ = _mcf_py.transport_value([5], [5], [3], 1, 1)
+        total, _ = kernels.transport_value([5], [5], [3], 1, 1)
         assert total == 15
 
     def test_prefers_cheap_route(self):
         # two sources, one demands from the cheaper
-        total, flows = _mcf_py.transport_plan([2, 2], [1, 3],
-                                              [0, 5, 5, 0], 2, 2)
+        total, flows = kernels.transport_plan([2, 2], [1, 3],
+                                                [0, 5, 5, 0], 2, 2)
         assert total == 5  # 1 unit must cross at cost 5
         assert (0, 0, 1) in flows
 
     def test_balance_required(self):
         with pytest.raises(ValueError):
-            total, _ = _mcf_py.transport_value([2], [1], [1], 1, 1)
+            total, _ = kernels.transport_value([2], [1], [1], 1, 1)
 
     def test_brute_force_tiny(self):
         # exhaustive check on 2x2 instances against direct enumeration
@@ -47,7 +45,7 @@ class TestPureKernel:
             d0 = rng.randint(0, tot)
             d = [d0, tot - d0]
             c = [rng.randint(0, 5) for _ in range(4)]
-            got, _ = _mcf_py.transport_value(s, d, c, 2, 2)
+            got, _ = kernels.transport_value(s, d, c, 2, 2)
             best = None
             for f00 in range(0, min(s[0], d[0]) + 1):
                 f01 = s[0] - f00
@@ -65,7 +63,7 @@ class TestPureKernel:
         rng = random.Random(2718)
         for _ in range(300):
             sup, dem, costs, ns, nt = random_instance(rng)
-            total, flow, pot_s, pot_t = _mcf_py._solve(sup, dem, costs, ns, nt)
+            total, flow, pot_s, pot_t = kernels._solve(sup, dem, costs, ns, nt)
             for i in range(ns):
                 for j in range(nt):
                     c = costs[i * nt + j]
@@ -83,43 +81,10 @@ class TestPureKernel:
         rng = random.Random(1618)
         for _ in range(300):
             sup, dem, costs, ns, nt = random_instance(rng)
-            total, pot_t = _mcf_py.transport_value(sup, dem, costs, ns, nt)
-            assert total == _mcf_py.transport_plan(sup, dem, costs, ns, nt)[0]
+            total, pot_t = kernels.transport_value(sup, dem, costs, ns, nt)
+            assert total == kernels.transport_plan(sup, dem, costs, ns, nt)[0]
             g = [min(costs[i * nt + j] - pot_t[j] for j in range(nt))
                  for i in range(ns)]
             dual = (sum(gi * s for gi, s in zip(g, sup))
                     + sum(p * d for p, d in zip(pot_t, dem)))
             assert dual == total
-
-
-@pytest.mark.skipif("c" not in kernels.backends(),
-                    reason="compiled kernel not built")
-class TestBackendEquivalence:
-    def test_values_and_flows_identical(self):
-        c_mod = kernels.backends()["c"]
-        rng = random.Random(99)
-        for _ in range(300):
-            sup, dem, costs, ns, nt = random_instance(rng)
-            py = _mcf_py.transport_plan(sup, dem, costs, ns, nt)
-            cc = c_mod.transport_plan(list(sup), list(dem), list(costs), ns, nt)
-            assert py == cc
-
-    def test_value_entry_point(self):
-        c_mod = kernels.backends()["c"]
-        rng = random.Random(100)
-        for _ in range(100):
-            sup, dem, costs, ns, nt = random_instance(rng)
-            py_total, py_pot = _mcf_py.transport_value(sup, dem, costs, ns, nt)
-            c_total, c_pot = c_mod.transport_value(list(sup), list(dem),
-                                                   list(costs), ns, nt)
-            assert py_total == c_total
-            assert py_pot == c_pot
-
-    def test_determinism(self):
-        c_mod = kernels.backends()["c"]
-        sup, dem, costs, ns, nt = random_instance(random.Random(7))
-        first = c_mod.transport_plan(list(sup), list(dem), list(costs), ns, nt)
-        for _ in range(5):
-            again = c_mod.transport_plan(list(sup), list(dem), list(costs),
-                                         ns, nt)
-            assert again == first

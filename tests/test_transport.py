@@ -26,7 +26,6 @@ from hypercurv import (
 )
 from hypercurv.errors import (
     EndpointMismatch,
-    InfeasibleQuantization,
     NegativeIntermediateMass,
     NotAssociated,
     StepLeavesHyperedge,
@@ -37,6 +36,7 @@ from hypercurv.transport import (
     _compositions,
     _edge_successors,
     _quantize,
+    _search,
     _step_kernels,
     _two_paths,
 )
@@ -214,8 +214,7 @@ class TestExact:
             D = common_denominator([a, b, c])
 
             def on_grid(m, n):
-                return wh_exact(H, H_LOG, m, n,
-                                refine=D // common_denominator([m, n])).value
+                return _search(H, H_LOG, m, n, D, 300_000, False).value
 
             ab, bc, ac = on_grid(a, b), on_grid(b, c), on_grid(a, c)
             assert ac <= ab + bc + 1e-9
@@ -237,8 +236,9 @@ class TestExact:
                             (generate("path", 3), "v0", "v3")]:
                 mu = lazy_random_walk(H, x, alpha)
                 nu = lazy_random_walk(H, y, alpha)
-                v1_ = wh_exact(H, H_LOG, mu, nu, refine=1).value
-                v2_ = wh_exact(H, H_LOG, mu, nu, refine=2).value
+                D = common_denominator([mu, nu])
+                v1_ = wh_exact(H, H_LOG, mu, nu).value
+                v2_ = _search(H, H_LOG, mu, nu, 2 * D, 300_000, False).value
                 assert v1_ == pytest.approx(v2_, abs=1e-9)
 
     def test_unpruned_matches_default(self, rng, monkeypatch):
@@ -298,13 +298,6 @@ class TestExact:
         assert res.value <= greedy
         # the searched plan to the pushed goal, not the greedy seed
         assert res.value < greedy - 1e-12
-
-    def test_infeasible_quantization(self):
-        H = generate("complete", 3)
-        mu = lazy_random_walk(H, "v0", Fraction(1, 3))
-        nu = lazy_random_walk(H, "v1", Fraction(1, 3))
-        with pytest.raises(InfeasibleQuantization):
-            _quantize(H, mu, 4)
 
 
 class TestDualBound:
