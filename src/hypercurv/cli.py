@@ -216,8 +216,6 @@ def _bounds_kappa(args, h):
         return args.kappa, "given"
     if args.catalog:
         size = args.n if args.n is not None else args.d
-        if size is None:
-            raise HypercurvError("--catalog needs --n or --d")
         kappa = catalog(args.catalog, size, h).kappa_h
         return kappa, "catalog-closed-form"
     if args.file:
@@ -249,9 +247,6 @@ def cmd_bounds(args):
 def cmd_catalog_verify(args):
     h = ConcaveCost.from_json(args.h)
     size = args.n if args.n is not None else args.d
-    if size is None:
-        print("error: catalog verify needs --n or --d", file=sys.stderr)
-        return 2
     H, x, y = catalog_instance(args.family, size)
     alphas = args.alpha or [Fraction(0), Fraction(1, 4), Fraction(1, 2),
                             Fraction(3, 4)]
@@ -357,18 +352,20 @@ def build_parser():
                         help="enumerate every successor on every hyperedge "
                              "(slow ground truth)")
 
-    def add_common(sp, with_file=True, with_h=True, with_pairs=True,
-                   with_alpha=True, with_solver=True, h_required=True,
-                   alpha_required=True, with_heuristic=True):
-        if with_file:
-            sp.add_argument("file", help="hypergraph .hg file")
+    def add_size(sp, required):
+        size = sp.add_mutually_exclusive_group(required=required)
+        size.add_argument("--n", type=int, help="vertex count of the instance")
+        size.add_argument("--d", type=int, help="pair distance of the instance")
+
+    def add_common(sp, with_h=True, with_alpha=True, with_solver=True,
+                   h_required=True, alpha_required=True, with_heuristic=True):
+        sp.add_argument("file", help="hypergraph .hg file")
         if with_h:
             sp.add_argument("--h", required=h_required,
                             help='cost spec, e.g. {"family":"log","a":"1"}')
-        if with_pairs:
-            grp = sp.add_mutually_exclusive_group()
-            grp.add_argument("--pair", type=_pair, help="x,y vertex labels")
-            grp.add_argument("--pairs", choices=["all", "adjacent"])
+        grp = sp.add_mutually_exclusive_group()
+        grp.add_argument("--pair", type=_pair, help="x,y vertex labels")
+        grp.add_argument("--pairs", choices=["all", "adjacent"])
         if with_alpha:
             sp.add_argument("--alpha", type=_alpha_list,
                             required=alpha_required,
@@ -415,8 +412,7 @@ def build_parser():
     src.add_argument("--catalog", choices=CATALOG_FAMILIES,
                      help="take kappa from a closed-form catalog entry")
     src.add_argument("--file", help="estimate kappa by hlly on this .hg file")
-    sp.add_argument("--n", type=int)
-    sp.add_argument("--d", type=int)
+    add_size(sp, required=False)
     sp.add_argument("--pair", type=_pair,
                     help="x,y (with --file; default adjacent pairs)")
     sp.add_argument("--max-degree", type=_positive_int, dest="max_degree")
@@ -430,8 +426,7 @@ def build_parser():
     catsub = sp.add_subparsers(dest="catalog_command", required=True)
     spv = catsub.add_parser("verify", help="solver vs closed forms")
     spv.add_argument("--family", choices=CATALOG_FAMILIES, required=True)
-    spv.add_argument("--n", type=int)
-    spv.add_argument("--d", type=int)
+    add_size(spv, required=True)
     spv.add_argument("--h", required=True)
     spv.add_argument("--alpha", type=_alpha_list, default=[])
     add_solver(spv)
@@ -456,6 +451,9 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     if getattr(args, "heuristic", False) and _solver_opts(args):
         parser.error("--heuristic takes no solver options")
+    if args.command == "bounds" and (args.catalog is None) != (
+            args.n is None and args.d is None):
+        parser.error("--n or --d goes with --catalog, and only with it")
     try:
         return args.func(args)
     except HypercurvError as exc:

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import json
 import math
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -36,7 +37,8 @@ class AssumptionReport:
 class ConcaveCost:
     """One of the built-in discount families, or a tabulated function.
 
-    Built-ins (parameter a > 0 rational):
+    Every cost has h(1) > 0.  Built-ins (parameter a > 0 rational, within
+    the range of positive floats):
       linear           a*t
       log              a*log(1+t)
       truncation       min(a, t)
@@ -66,10 +68,14 @@ class ConcaveCost:
                 raise ValueError("tabulated sample points must be distinct")
         elif self.a is None or self.a <= 0:
             raise ValueError("parameter a must be a positive rational")
+        elif self.a > sys.float_info.max or float(self.a) == 0:
+            raise ValueError("parameter a is outside the range of floats")
         if family == "power" and not 0 < self.a < 1:
             raise ValueError("power family needs 0 < a < 1")
         self._check_shape()
         self.h1, self.hp0, self.hp1 = self._constants()
+        if not self.h1 > 0:
+            raise ValueError("h(1) must be positive")
         self._hp_err = getattr(self, "_hp_err", 0.0)
 
     # -- evaluation ------------------------------------------------------------

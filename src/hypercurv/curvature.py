@@ -133,7 +133,6 @@ class HllyDiagnostics:
     alphas: tuple
     ratios: tuple
     statuses: tuple
-    aitken: float
     converged: bool
 
 
@@ -141,10 +140,11 @@ def hlly(H: Hypergraph, h: ConcaveCost, x: str, y: str, grid=None,
          **solver_opts):
     """Estimate of liminf of orc_alpha_h/(1-alpha) as alpha -> 1.
 
-    Returns (estimate, diagnostics): the ratio sequence on the dyadic grid
-    (default alpha = 1 - 2^-k, k = 3..10), its Aitken extrapolation and a
-    convergence flag.  The true limit is only a liminf; the estimate is
-    never asserted to equal it.
+    Returns (estimate, diagnostics): the estimate is the Aitken
+    extrapolation of the ratio sequence on the dyadic grid (default
+    alpha = 1 - 2^-k, k = 3..10); the diagnostics hold the grid, the
+    ratios, their solver statuses and a convergence flag.  The true limit
+    is only a liminf; the estimate is never asserted to equal it.
     """
     if grid is None:
         grid = [1 - Fraction(1, 2 ** k) for k in range(3, 11)]
@@ -159,7 +159,7 @@ def hlly(H: Hypergraph, h: ConcaveCost, x: str, y: str, grid=None,
     converged = (len(ratios) >= 2 and
                  abs(ratios[-1] - ratios[-2]) <= 1e-3 * max(1.0, abs(ratios[-1])))
     diag = HllyDiagnostics(tuple(Fraction(a) for a in grid), tuple(ratios),
-                           tuple(statuses), est, converged)
+                           tuple(statuses), converged)
     return est, diag
 
 
@@ -234,7 +234,7 @@ def catalog(family: str, n_or_d: int, h: ConcaveCost,
             return _complete_values(2, h, a)
         if m <= 5:
             return _small_cycle_values(m, h, a)
-        return _large_cycle_values(h, a, 1)
+        return _large_cycle_values(h, a)
     if m < 1:
         raise OutOfCatalogRange("line configurations need d >= 1")
     if family == "line_ends":
@@ -245,7 +245,7 @@ def catalog(family: str, n_or_d: int, h: ConcaveCost,
         return _line_end_next_values(m, h, a)
     # line_both_next
     if m == 1:
-        return _large_cycle_values(h, a, 1)
+        return _large_cycle_values(h, a)
     return _line_both_next_values(m, h, a)
 
 
@@ -299,14 +299,14 @@ def _small_cycle_values(n, h, a):
     return CatalogValues(ka, kappa, _ratio(h.h1 - wh, h), kappa_h, wh)
 
 
-def _large_cycle_values(h, a, d):
-    kappa_h = (h.hp1 - h.hp0) / (d * h.h1)
+def _large_cycle_values(h, a):
+    kappa_h = (h.hp1 - h.hp0) / h.h1
     if a is None:
         return CatalogValues(None, Fraction(0), None, kappa_h, None)
     b = 1 - a
     wh = h.eval(a) + 2 * h.eval(b / 2)
     return CatalogValues(Fraction(0), Fraction(0),
-                         (h.h1 - wh) / (d * h.h1), kappa_h, wh)
+                         (h.h1 - wh) / h.h1, kappa_h, wh)
 
 
 def _line_ends_values(d, h, a):

@@ -19,8 +19,8 @@ unimodular, so with supplies and demands in units of 1/D every vertex has
 flows in units of 1/D (Schrijver, Theory of Linear and Integer
 Programming, 1986, ch. 19).  Hence every plan is matched, at no higher
 cost, by a grid plan with the same sequence.  Every grid step costs at
-least h(1/D) > 0 (unless h(1) = 0 and every plan is free), so only
-finitely many grid plans lie below any cost and the minimum is attained.
+least h(1/D) >= h(1)/D > 0 by concavity, so only finitely many grid plans
+lie below any cost and the minimum is attained.
 
 The search prices successors by Kantorovich-Rubinstein duality: the exact
 W1 solve of an expanded state also yields a 1-Lipschitz potential f with
@@ -45,7 +45,7 @@ from .errors import (
     StepLeavesHyperedge,
 )
 from .hypergraph import Hypergraph
-from .measure import ProbMeasure, SignedDelta, common_denominator
+from .measure import ProbMeasure, common_denominator
 from .wasserstein import Coupling, w1, w1_units
 
 COST_TOL = 1e-12
@@ -59,27 +59,23 @@ FULL_ENUM_LIMIT = 512
 class TransportStep:
     """One redistribution inside a hyperedge.
 
-    moves hold (from, to, mass) with both endpoints inside the hyperedge;
-    moved_mass is the net half-L1 of the step's difference, which equals
-    the sum of move masses whenever no vertex both sends and receives.
+    moves hold (from, to, mass) with both endpoints inside the hyperedge.
+    moved_mass is the total gain of the vertices whose holding grows, i.e.
+    half the L1 norm of the step's net change: a relay a -> b -> c moves
+    only what reaches c.  It equals the sum of move masses whenever no
+    vertex both sends and receives.  plan_cost charges h(moved_mass).
     """
 
     edge: int
     moves: tuple
 
-    def delta(self) -> SignedDelta:
-        deltas = {}
-        for a, b, m in self.moves:
-            deltas[a] = deltas.get(a, Fraction(0)) - m
-            deltas[b] = deltas.get(b, Fraction(0)) + m
-        return SignedDelta(deltas)
-
     @property
     def moved_mass(self) -> Fraction:
-        return self.delta().half_l1()
-
-    def step_cost(self, h: ConcaveCost) -> float:
-        return h.eval(self.moved_mass)
+        net = {}
+        for a, b, m in self.moves:
+            net[a] = net.get(a, Fraction(0)) - m
+            net[b] = net.get(b, Fraction(0)) + m
+        return sum((d for d in net.values() if d > 0), Fraction(0))
 
 
 @dataclass(frozen=True)
@@ -87,36 +83,6 @@ class TransportPlan:
     start: ProbMeasure
     end: ProbMeasure
     steps: tuple
-
-    def intermediates(self, H: Hypergraph):
-        """The measure sequence xi_0..xi_I, validating every step."""
-        out = [self.start]
-        cur = dict(self.start.weights)
-        for n, step in enumerate(self.steps):
-            edge_labels = {H.label(v) for v in H.edges[step.edge]}
-            outflow = {}
-            for a, b, m in step.moves:
-                if m <= 0 or a == b:
-                    raise StepLeavesHyperedge(
-                        f"step {n}: malformed move ({a!r} -> {b!r}, {m})")
-                if a not in edge_labels or b not in edge_labels:
-                    raise StepLeavesHyperedge(
-                        f"step {n}: move {a!r} -> {b!r} leaves hyperedge {step.edge}")
-                outflow[a] = outflow.get(a, Fraction(0)) + m
-            for a, sent in outflow.items():
-                if sent > cur.get(a, Fraction(0)):
-                    raise NegativeIntermediateMass(
-                        f"step {n}: vertex {a!r} sends {sent} but holds "
-                        f"{cur.get(a, Fraction(0))}")
-            for a, b, m in step.moves:
-                cur[a] = cur.get(a, Fraction(0)) - m
-                cur[b] = cur.get(b, Fraction(0)) + m
-            cur = {v: p for v, p in cur.items() if p != 0}
-            out.append(ProbMeasure(cur))
-        return out
-
-    def total_cost(self, h: ConcaveCost) -> float:
-        return sum(s.step_cost(h) for s in self.steps)
 
     def to_json(self) -> str:
         return json.dumps({
@@ -150,10 +116,39 @@ class WhResult:
     quantization: int
 
 
+def _holdings(H: Hypergraph, plan: TransportPlan):
+    """The holdings (vertex -> mass) before the first step and after each
+    step, validating every step."""
+    cur = dict(plan.start.weights)
+    out = [cur]
+    for n, step in enumerate(plan.steps):
+        edge_labels = {H.label(v) for v in H.edges[step.edge]}
+        outflow = {}
+        for a, b, m in step.moves:
+            if m <= 0 or a == b:
+                raise StepLeavesHyperedge(
+                    f"step {n}: malformed move ({a!r} -> {b!r}, {m})")
+            if a not in edge_labels or b not in edge_labels:
+                raise StepLeavesHyperedge(
+                    f"step {n}: move {a!r} -> {b!r} leaves hyperedge {step.edge}")
+            outflow[a] = outflow.get(a, Fraction(0)) + m
+        for a, sent in outflow.items():
+            if sent > cur.get(a, Fraction(0)):
+                raise NegativeIntermediateMass(
+                    f"step {n}: vertex {a!r} sends {sent} but holds "
+                    f"{cur.get(a, Fraction(0))}")
+        nxt = dict(cur)
+        for a, b, m in step.moves:
+            nxt[a] -= m
+            nxt[b] = nxt.get(b, Fraction(0)) + m
+        cur = {v: p for v, p in nxt.items() if p != 0}
+        out.append(cur)
+    return out
+
+
 def plan_cost(H: Hypergraph, h: ConcaveCost, plan: TransportPlan) -> float:
     """Re-validate a plan and recompute its cost from scratch."""
-    seq = plan.intermediates(H)
-    if seq[-1] != plan.end:
+    if _holdings(H, plan)[-1] != plan.end.weights:
         raise EndpointMismatch("plan does not end at the declared measure")
     total = 0.0
     for step in plan.steps:
@@ -580,16 +575,15 @@ def wh_heuristic(H: Hypergraph, h: ConcaveCost, mu: ProbMeasure,
         moves = tuple((a, b, m) for (a, b), m in sorted(combined.items()))
         steps.append(TransportStep(k, moves))
 
-    plan = TransportPlan(mu, nu, tuple(steps))
-    plan = _merge_pass(H, h, plan)
-    value = plan_cost(H, h, plan)
+    plan, value = _merge_pass(H, h, TransportPlan(mu, nu, tuple(steps)))
     return WhResult(value, plan, "heuristic-upper-bound", lower, 0,
                     common_denominator([mu, nu]))
 
 
 def _merge_pass(H, h, plan):
     """Fold one step into another on the same hyperedge whenever the plan
-    stays feasible and strictly cheaper; repeat to a fixed point."""
+    stays feasible and strictly cheaper; repeat to a fixed point.  Returns
+    the plan and its plan_cost."""
     best_cost = plan_cost(H, h, plan)
     improved = True
     while improved:
@@ -618,7 +612,7 @@ def _merge_pass(H, h, plan):
                     break
             if improved:
                 break
-    return plan
+    return plan, best_cost
 
 
 # ---------------------------------------------------------------------------
@@ -628,20 +622,19 @@ def _merge_pass(H, h, plan):
 
 def _step_kernels(H, plan):
     """Per-step couplings (stay mass on the diagonal plus the moves)."""
-    seq = plan.intermediates(H)
     kernels = []
-    for prev, step in zip(seq, plan.steps):
+    for prev, step in zip(_holdings(H, plan), plan.steps):
         pi = {}
         sent = {}
         for a, b, m in step.moves:
             pi[(a, b)] = pi.get((a, b), Fraction(0)) + m
             sent[a] = sent.get(a, Fraction(0)) + m
-        for v, p in prev.weights.items():
+        for v, p in prev.items():
             stay = p - sent.get(v, Fraction(0))
             if stay > 0:
                 pi[(v, v)] = pi.get((v, v), Fraction(0)) + stay
         kernels.append(pi)
-    return kernels, seq
+    return kernels
 
 
 def _glue(kernels, start: ProbMeasure):
@@ -662,8 +655,8 @@ def _glue(kernels, start: ProbMeasure):
 
 def plan_coupling(H: Hypergraph, plan: TransportPlan) -> Coupling:
     """Gluing of the plan's step couplings: the end-to-end coupling."""
-    kernels, _ = _step_kernels(H, plan)
-    return Coupling(_glue(kernels, plan.start), plan.start, plan.end)
+    return Coupling(_glue(_step_kernels(H, plan), plan.start), plan.start,
+                    plan.end)
 
 
 def _two_paths(kernels, x, y):
@@ -720,10 +713,9 @@ def normalize_plan(H: Hypergraph, h: ConcaveCost, plan: TransportPlan,
     Netting and exchanges re-pair mass, so the result's own coupling
     (plan_coupling of it) may differ from the given one.
     """
-    glued = plan_coupling(H, plan)
-    if glued.entries != coupling.entries:
+    kernels = _step_kernels(H, plan)
+    if _glue(kernels, plan.start) != coupling.entries:
         raise NotAssociated("plan steps do not glue to the given coupling")
-    kernels, _ = _step_kernels(H, plan)
     for pi in kernels:
         _net_moves(pi)
     edges = [s.edge for s in plan.steps]

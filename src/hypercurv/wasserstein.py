@@ -25,9 +25,6 @@ class Coupling:
     mu: ProbMeasure
     nu: ProbMeasure
 
-    def mass(self, x, y) -> Fraction:
-        return self.entries.get((x, y), Fraction(0))
-
     def check(self):
         rows = {}
         cols = {}

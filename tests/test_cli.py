@@ -21,6 +21,10 @@ from hypercurv.hypergraph import GRID9_TEXT
 
 LOG1 = '{"family":"log","a":"1"}'
 LIN1 = '{"family":"linear","a":"1"}'
+# h(1) = 0, a that is 0 as a float, a that overflows a float
+DEGENERATE_SPECS = ['{"family":"tabulated","points":[[0,0],[1,0]]}',
+                    '{"family":"linear","a":"1e-400"}',
+                    '{"family":"log","a":"1e400"}']
 
 
 @pytest.fixture
@@ -199,10 +203,22 @@ class TestCatalogVerify:
 class TestErrors:
     @pytest.mark.parametrize("spec", [
         '{bad', '{"family":"log"}',
-        '{"family":"tabulated","points":[[0,0],["1/2",NaN],[1,1]]}'])
+        '{"family":"tabulated","points":[[0,0],["1/2",NaN],[1,1]]}',
+        *DEGENERATE_SPECS])
     def test_bad_cost_spec_exits_one(self, grid9_file, capsys, spec):
         assert main(["curvature", grid9_file, "--h", spec, "--pair", "x,y",
                      "--alpha", "1/2"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: BadParams: ")
+        assert err.count("\n") == 1
+
+    @pytest.mark.parametrize("spec", DEGENERATE_SPECS)
+    @pytest.mark.parametrize("argv", [
+        ["limit", "FILE", "--pair", "x,y"],
+        ["catalog", "verify", "--family", "complete", "--n", "3"]])
+    def test_degenerate_cost_exits_one(self, grid9_file, capsys, argv, spec):
+        argv = [grid9_file if a == "FILE" else a for a in argv]
+        assert main(argv + ["--h", spec]) == 1
         err = capsys.readouterr().err
         assert err.startswith("error: BadParams: ")
         assert err.count("\n") == 1
@@ -254,6 +270,18 @@ class TestErrors:
         with pytest.raises(SystemExit) as exc:
             main(argv[:1] + [grid9_file, "--h", LOG1, "--pair", "x,y"]
                  + argv[1:])
+        assert exc.value.code == 2
+
+    @pytest.mark.parametrize("argv", [
+        ["catalog", "verify", "--family", "complete"],
+        ["catalog", "verify", "--family", "complete", "--n", "3", "--d", "2"],
+        ["bounds", "--catalog", "complete"],
+        ["bounds", "--catalog", "complete", "--n", "3", "--d", "2"],
+        ["bounds", "--kappa", "1", "--n", "3"]])
+    def test_catalog_size_misuse_exits_two(self, argv):
+        # --n/--d: exactly one with a catalog entry, neither without one
+        with pytest.raises(SystemExit) as exc:
+            main(argv + ["--h", LOG1])
         assert exc.value.code == 2
 
 

@@ -7,7 +7,7 @@ from fractions import Fraction
 import pytest
 
 from hypercurv import ConcaveCost
-from hypercurv.errors import LambdaOutOfRange, NotConcave
+from hypercurv.errors import BadParams, LambdaOutOfRange, NotConcave
 
 
 class TestEval:
@@ -84,6 +84,22 @@ class TestConstants:
         assert h.hp0 == pytest.approx(1.0, abs=1e-3)
         assert h.hp1 == pytest.approx(0.5, abs=1e-3)
         assert h.derivative_error < 1e-2
+
+    @pytest.mark.parametrize("family,kwargs,spec", [
+        ("tabulated", {"points": [(0, 0.0), (1, 0.0)]},
+         '{"family":"tabulated","points":[[0,0],[1,0]]}'),
+        ("linear", {"a": Fraction(1, 10 ** 400)},
+         '{"family":"linear","a":"1e-400"}'),
+        ("truncation", {"a": Fraction(1, 10 ** 400)},
+         '{"family":"truncation","a":"1e-400"}'),
+        ("log", {"a": Fraction(10 ** 400)}, '{"family":"log","a":"1e400"}')])
+    def test_degenerate_costs_rejected(self, family, kwargs, spec):
+        # h(1) = 0 in floats, or an a that overflows a float, would divide by
+        # zero or overflow downstream; every accepted cost has h(1) > 0
+        with pytest.raises(ValueError):
+            ConcaveCost(family, **kwargs)
+        with pytest.raises(BadParams):
+            ConcaveCost.from_json(spec)
 
 
 class TestAssumption:
