@@ -34,6 +34,7 @@ import heapq
 import itertools
 import json
 import math
+from array import array
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -216,18 +217,20 @@ def _delta_to_moves(labels, delta_units, D):
     return tuple(moves)
 
 
-def _compositions(total, k):
-    """Every k-tuple of non-negative integers summing to total."""
-    if k == 0:
-        if total == 0:
-            yield ()
+def _compositions(total, ref):
+    """Every len(ref)-tuple of non-negative integers summing to total, each
+    with the mass it takes from ref: the sum of max(r - c, 0)."""
+    if len(ref) <= 1:
+        if ref:
+            yield (total,), (ref[0] - total if total < ref[0] else 0)
+        elif total == 0:
+            yield (), 0
         return
-    if k == 1:
-        yield (total,)
-        return
+    r0, rest_ref = ref[0], ref[1:]
     for first in range(total + 1):
-        for rest in _compositions(total - first, k - 1):
-            yield (first,) + rest
+        took = r0 - first if first < r0 else 0
+        for rest, took_rest in _compositions(total - first, rest_ref):
+            yield (first,) + rest, took + took_rest
 
 
 def _edge_successors(cur, goal, hi, unpruned, skip):
@@ -245,7 +248,9 @@ def _edge_successors(cur, goal, hi, unpruned, skip):
     group t = 0.  Larger hyperedges use a structured family: sources drain
     to 0 or to their goal value, targets fill to their goal value, one
     vertex absorbs the balance.  That family contains every step of the
-    worked optimal plans; the unpruned flag restores ground truth.
+    worked optimal plans; the unpruned flag restores ground truth.  It is
+    generated in its own order, not by t, and `skip` is not consulted.
+    Both yield moved and t as they build each tuple.
     """
     k = len(cur)
     M = sum(cur)
@@ -254,29 +259,31 @@ def _edge_successors(cur, goal, hi, unpruned, skip):
     if k == 2 or unpruned or math.comb(M + k - 1, k - 1) <= FULL_ENUM_LIMIT:
         high = [i for i in range(k) if hi[i]]
         low = [i for i in range(k) if not hi[i]]
-        on_high = sum(cur[i] for i in high)
+        cur_high = [cur[i] for i in high]
+        cur_low = [cur[i] for i in low]
+        on_high = sum(cur_high)
         order = high + low
         place = [order.index(i) for i in range(k)]
         ts = range(-on_high, M - on_high + 1) if high and low else (0,)
         for t in ts:
             if skip(t):
                 continue
-            for top in _compositions(on_high + t, len(high)):
-                for bottom in _compositions(M - on_high - t, len(low)):
-                    stacked = top + bottom
-                    comp = tuple(stacked[p] for p in place)
-                    if comp != cur:
-                        moved = sum(c - n for c, n in zip(cur, comp) if c > n)
-                        yield comp, moved, t
+            for top, took_top in _compositions(on_high + t, cur_high):
+                for bottom, took_bottom in _compositions(M - on_high - t,
+                                                         cur_low):
+                    moved = took_top + took_bottom
+                    # nothing taken means nothing moved: the current values
+                    if moved:
+                        stacked = top + bottom
+                        yield tuple(map(stacked.__getitem__, place)), moved, t
         return
-
-    def with_t(new, moved):
-        return new, moved, sum(n - c for n, c, f in zip(new, cur, hi) if f)
 
     seen = set()
     idx = range(k)
     pos = [i for i in idx if cur[i] > 0]
     deficits = [i for i in idx if goal[i] > cur[i]]
+    # what filling vertex i to its goal adds to t
+    fill_t = [hi[i] * (goal[i] - cur[i]) for i in idx]
     # batching moves: a source set drains to zero or to its goal value; the
     # freed mass fills chosen targets exactly to goal, any remainder piles
     # on one residual vertex
@@ -293,12 +300,15 @@ def _edge_successors(cur, goal, hi, unpruned, skip):
                 freed = sum(cur[s] - dv for s, dv in zip(S, drains))
                 if freed <= 0:
                     continue
+                t_drain = sum(hi[s] * (dv - cur[s])
+                              for s, dv in zip(S, drains))
                 for nfill in range(len(fill_cand) + 1):
                     for T in itertools.combinations(fill_cand, nfill):
                         need = sum(goal[t] - cur[t] for t in T)
                         if need > freed:
                             continue
                         rest = freed - need
+                        t_fill = t_drain + sum(fill_t[t] for t in T)
                         residuals = [None] if rest == 0 else \
                             [t for t in idx if t not in S and t not in T]
                         for resid in residuals:
@@ -314,7 +324,8 @@ def _edge_successors(cur, goal, hi, unpruned, skip):
                             tup = tuple(new)
                             if tup not in seen:
                                 seen.add(tup)
-                                yield with_t(tup, freed)
+                                yield tup, freed, t_fill + (
+                                    0 if resid is None else hi[resid] * rest)
     # fan-out: one source fills targets exactly to goal, keeping the rest
     for s in pos:
         cand = [t for t in deficits if t != s]
@@ -329,7 +340,98 @@ def _edge_successors(cur, goal, hi, unpruned, skip):
                     tup = tuple(new)
                     if tup not in seen:
                         seen.add(tup)
-                        yield with_t(tup, need)
+                        yield tup, need, (sum(fill_t[t] for t in T)
+                                          - hi[s] * need)
+
+
+class _SuccessorTable:
+    """One key's successors, for the repeat visits of one _search call.
+
+    The key is an edge's local values, local goal and potential pattern
+    hi, which fix its successors.  Each child is packed into one int, most
+    significant field first: moved, generation order, new values.  The
+    children of a t group form one sorted run, so a run is ordered by
+    moved, which orders it by h(moved) as h is nondecreasing, and then by
+    generation.  A group the exhaustive enumeration yields is built on its
+    first unskipped use; the structured family, which has no t order, is
+    built whole at once.  The runs share one array('q'), a list when an
+    int needs more than 63 bits, so a child costs about 8 bytes and a
+    group 24.
+    """
+
+    __slots__ = ("key", "unpruned", "ts", "spans", "packed", "M", "k",
+                 "vbits", "ibits", "lbits")
+
+    def __init__(self, cur, goal, hi, unpruned):
+        self.key, self.unpruned = (cur, goal, hi), unpruned
+        k, M = self.k, self.M = len(cur), sum(cur)
+        self.vbits = max(M, 1).bit_length()
+        # the order of a child: (t + M, index in its group) when grouped,
+        # its index in the whole family otherwise
+        self.ibits = math.comb(M + k - 1, k - 1).bit_length()
+        self.lbits = k * self.vbits + (2 * M).bit_length() + self.ibits
+        wide = M.bit_length() + self.lbits > 63
+        self.packed = [] if wide else array("q")
+        ts = []
+
+        def probe(t):
+            ts.append(t)
+            return True
+
+        # The exhaustive enumeration asks about each t group, in ascending
+        # t, and so yields nothing here; the structured family never asks
+        # and yields every child.
+        whole = {}
+        for n, child in enumerate(
+                _edge_successors(cur, goal, hi, unpruned, probe)):
+            whole.setdefault(child[2], []).append((n, child))
+        # group ts[i] is packed[spans[2i]:spans[2i + 1]], or unbuilt at -1
+        self.ts = array("q", ts or whole)
+        self.spans = array("q", [-1, -1]) * len(self.ts)
+        for i, children in enumerate(whole.values()):
+            self._build(i, children)
+
+    def _build(self, i, children):
+        """Append group ts[i] from (order, (new values, moved, t)) pairs."""
+        vbits, lbits = self.vbits, self.lbits
+        run = []
+        for low, (new, moved, _t) in children:
+            for v in reversed(new):
+                low = low << vbits | v
+            run.append(moved << lbits | low)
+        run.sort()
+        self.spans[2 * i] = len(self.packed)
+        self.packed.extend(run)
+        self.spans[2 * i + 1] = len(self.packed)
+
+    def survivors(self, skip, dear):
+        """(new values, moved, t), in generation order, of every child that
+        comes before the first child of its t group `dear(moved, t)` rejects.
+
+        `skip(t)` may hold only when dear rejects every child with that t;
+        it is asked before a group is built, and a skipped group is not.
+        """
+        packed, spans, lbits = self.packed, self.spans, self.lbits
+        lmask = (1 << lbits) - 1
+        found = []
+        for i, t in enumerate(self.ts):
+            if spans[2 * i] < 0:
+                if skip(t):
+                    continue
+                base = (t + self.M) << self.ibits
+                self._build(i, ((base | n, child) for n, child in enumerate(
+                    _edge_successors(*self.key, self.unpruned,
+                                     lambda s: s != t))))
+            for j in range(spans[2 * i], spans[2 * i + 1]):
+                moved = packed[j] >> lbits
+                if dear(moved, t):
+                    break
+                found.append((packed[j] & lmask, moved, t))
+        found.sort()
+        vbits, vmask = self.vbits, (1 << self.vbits) - 1
+        shifts = range(0, self.k * vbits, vbits)
+        return [(tuple([low >> s & vmask for s in shifts]), moved, t)
+                for low, moved, t in found]
 
 
 def _quantize(H, m: ProbMeasure, D: int):
@@ -366,7 +468,17 @@ def wh_exact(H: Hypergraph, h: ConcaveCost, mu: ProbMeasure, nu: ProbMeasure,
     <f, delta> = t, the net mass moved onto the higher vertices, and
     moved >= |t|.  Exhaustive enumeration runs group by group in t and
     skips a group outright once g + h(|t|) + envelope(max(W1 + t, 0))
-    reaches the incumbent; the structured family tests each child.
+    reaches the incumbent.
+
+    The first visit of a key (an edge's local values, local goal and
+    potential pattern) streams its successors so.  A repeat visit walks
+    the key's _SuccessorTable instead: each t group is sorted by moved,
+    and its walk stops at the first child whose
+    g + h(moved) + envelope(max(W1 + t, 0)) reaches the incumbent, so the
+    structured family is skipped by t group too.  The survivors are
+    pushed in generation order, each tested again against the incumbent
+    of the moment, so the search pushes the same children in the same
+    order as a plain stream.  Tables live inside one call.
     """
     return _search(H, h, mu, nu, common_denominator([mu, nu]), max_states,
                    unpruned)
@@ -408,6 +520,8 @@ def _search(H, h, mu, nu, D, max_states, unpruned):
             env_memo[w_units] = e
         return e
 
+    # key -> _SuccessorTable, or None after the key's first visit
+    tables = {}
     g_best = {start: 0.0}
     parents = {start: None}
     closed = set()
@@ -442,7 +556,11 @@ def _search(H, h, mu, nu, D, max_states, unpruned):
             exhausted = True
             break
 
-        def skip(t):
+        def dear(moved, t):
+            return (g + cost_of(moved) + env_of(max(w1u + t, 0))
+                    >= incumbent_g - COST_TOL)
+
+        def skip(t):  # dear(abs(t), t), inlined: streams call it per group
             return (g + cost_of(abs(t)) + env_of(max(w1u + t, 0))
                     >= incumbent_g - COST_TOL)
 
@@ -450,8 +568,19 @@ def _search(H, h, mu, nu, D, max_states, unpruned):
             cur = tuple(state[v] for v in edge)
             base = min(pot[v] for v in edge)
             hi = tuple(pot[v] - base for v in edge)
-            for new_vals, moved, t in _edge_successors(
-                    cur, goal_by_edge[k], hi, unpruned, skip):
+            key = (cur, goal_by_edge[k], hi)
+            table = tables.get(key, False)
+            if table is False:
+                # a first visit streams, so a key met once costs no table
+                tables[key] = None
+                children = _edge_successors(cur, goal_by_edge[k], hi,
+                                            unpruned, skip)
+            else:
+                if table is None:
+                    table = tables[key] = _SuccessorTable(
+                        cur, goal_by_edge[k], hi, unpruned)
+                children = table.survivors(skip, dear)
+            for new_vals, moved, t in children:
                 g2 = g + cost_of(moved)
                 bound = env_of(max(w1u + t, 0))
                 if g2 + bound >= incumbent_g - COST_TOL:

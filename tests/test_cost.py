@@ -141,6 +141,14 @@ class TestAssumption:
         with pytest.raises(ValueError):
             ConcaveCost("power", a=2)
 
+    def test_shape_tolerance_scales_with_values(self):
+        # the chord test rounds at the scale of h, far above 1e-12 here
+        assert ConcaveCost("linear", a=10**100).check_assumption().ok
+        # a convex kink at the same scale is still caught
+        pts = [(0, 0.0), (Fraction(1, 2), 0.4e100), (1, 1e100)]
+        with pytest.raises(NotConcave):
+            ConcaveCost("tabulated", points=pts)
+
 
 class TestShapeProperties:
     @pytest.mark.parametrize("family,a", [

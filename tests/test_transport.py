@@ -1,5 +1,6 @@
 """Stepwise-transport plans, bounds, the exact solver and normalization."""
 
+import hashlib
 import math
 import random
 from fractions import Fraction
@@ -37,6 +38,7 @@ from hypercurv.transport import (
     _edge_successors,
     _quantize,
     _search,
+    _SuccessorTable,
     _step_kernels,
     _two_paths,
 )
@@ -368,7 +370,7 @@ class TestDualBound:
         # exactly the compositions with that t
         cur = (3, 0, 2, 1)
         hi = (0, 1, 1, 0)
-        every = set(_compositions(sum(cur), 4)) - {cur}
+        every = {c for c, _ in _compositions(sum(cur), cur)} - {cur}
         out = [new for new, _, _ in _edge_successors(
             cur, cur, hi, True, lambda t: False)]
         assert len(out) == len(set(out)) and set(out) == every
@@ -389,6 +391,186 @@ class TestDualBound:
         res = wh_exact(H, H_LOG, mu, nu)
         assert res.optimality == "exact"
         assert res.value == pytest.approx(value, abs=COST_TOL)
+
+
+class TestSuccessorTable:
+    """The per-call successor tables behind wh_exact's repeat visits."""
+
+    @staticmethod
+    def _keys(seed, count):
+        # k = 2..5 and masses up to 16 reach both the exhaustive branch and
+        # the structured family; every third key is enumerated unpruned
+        rng = random.Random(seed)
+        for n in range(count):
+            k = rng.randint(2, 5)
+            cur = [0] * k
+            for _ in range(rng.randint(1, 16)):
+                cur[rng.randrange(k)] += 1
+            goal = [0] * k
+            for _ in range(rng.randint(0, sum(cur))):
+                goal[rng.randrange(k)] += 1
+            hi = [rng.randint(0, 1) for _ in range(k)]
+            hi[rng.randrange(k)] = 0
+            yield tuple(cur), tuple(goal), tuple(hi), n % 3 == 0
+
+    def test_walk_matches_stream(self):
+        h = H_LOG
+        branches = set()
+        for cur, goal, hi, unpruned in self._keys(808, 150):
+            M = sum(cur)
+            full = list(_edge_successors(cur, goal, hi, unpruned,
+                                         lambda t: False))
+            k = len(cur)
+            branches.add(unpruned or math.comb(M + k - 1, k - 1)
+                         <= transport.FULL_ENUM_LIMIT)
+            for new, moved, t in full:
+                assert moved == sum(c - n for c, n in zip(cur, new) if c > n)
+                assert t == sum(f * (n - c) for c, n, f in zip(cur, new, hi))
+            table = _SuccessorTable(cur, goal, hi, unpruned)
+            # a cut per group keeps exactly the children below it, in
+            # generation order, before and after every group is built
+            rng = random.Random(M)
+            offset = {t: rng.random() for t in range(-M, M + 1)}
+            limit = rng.uniform(0.5, 1.5)
+
+            def dear(moved, t):
+                return h.eval(Fraction(moved, M)) + offset[t] >= limit
+
+            cut = [c for c in full if not dear(c[1], c[2])]
+            assert table.survivors(lambda t: dear(abs(t), t), dear) == cut
+            # the union of the groups, walked to the end, is the stream
+            walked = {}
+
+            def never(moved, t):
+                walked.setdefault(t, []).append(moved)
+                return False
+
+            assert table.survivors(lambda t: False, never) == full
+            assert table.survivors(lambda t: dear(abs(t), t), dear) == cut
+            # each group is walked in nondecreasing compared cost
+            for moves in walked.values():
+                costs = [h.eval(Fraction(m, M)) for m in moves]
+                assert costs == sorted(costs)
+        assert branches == {True, False}
+
+    def test_wide_values_fall_back_to_a_list(self):
+        # packed ints past 63 bits are kept in a list, not an array
+        cur, goal, hi = (2**20, 0, 3, 0), (0, 2**19, 0, 5), (0, 1, 1, 0)
+        full = list(_edge_successors(cur, goal, hi, False, lambda t: False))
+        table = _SuccessorTable(cur, goal, hi, False)
+        assert table.survivors(lambda t: False, lambda m, t: False) == full
+        assert isinstance(table.packed, list)
+
+
+def _record(res):
+    return (repr(res.value), res.optimality, repr(res.lower_bound),
+            res.states_expanded, res.quantization,
+            hashlib.sha256(res.plan.to_json().encode()).hexdigest()[:16])
+
+
+class TestGolden:
+    """wh_exact outputs recorded before the search reused successor tables.
+    Pushing children in another order breaks ties differently, which shows
+    in the plan, the expansion count or both."""
+
+    @pytest.mark.parametrize("h,alpha,want", [
+        (H_LOG, Fraction(1, 8),
+         ("0.5149524668774486", "exact", "0.38989528906496923",
+          108, 192, "ab28de9d089487a4")),
+        (H_LOG, Fraction(1, 2),
+         ("0.6590961868185703", "exact", "0.5198603854199589",
+          2061, 48, "616f275d4c14ab51")),
+        (H_TRUNC, Fraction(1, 2),
+         ("0.7499999999999999", "exact", "0.375",
+          6156, 48, "85e07f2e613343b6")),
+    ])
+    def test_grid9(self, h, alpha, want):
+        H = generate("grid9")
+        mu = lazy_random_walk(H, "x", alpha)
+        nu = lazy_random_walk(H, "y", alpha)
+        assert _record(wh_exact(H, h, mu, nu)) == want
+
+    # seed -> record: the first 30 seeds whose search expands at least four
+    # states, and 877, the one seed below 1500 whose plan changes when a
+    # table walk pushes its children in reverse
+    SMALL = {
+        4: ("0.8517522107365838", "exact", "0.6931471805599453", 4, 4,
+            "c8b66fd1cd0707e8"),
+        92: ("1.0479685558493548", "exact", "0.9241962407465937", 14, 6,
+             "9569edc22b0492d7"),
+        95: ("1.1666666666666667", "exact", "0.6666666666666666", 16, 6,
+             "58588602a5b352d2"),
+        97: ("1.0", "exact", "0.625", 8, 4,
+             "ce200fdc997e5b78"),
+        120: ("0.6359887667199967", "exact", "0.5198603854199589", 15, 12,
+              "a602819f61ce2ecf"),
+        129: ("1.25", "exact", "0.875", 6, 4,
+              "cb3989f433697ffe"),
+        152: ("1.229046441878052", "exact", "1.0397207708399179", 18, 4,
+              "bf367eb0e54ca4ab"),
+        171: ("1.0", "exact", "0.5", 9, 4,
+              "513a6895588c4f03"),
+        185: ("0.8333333333333333", "exact", "0.4166666666666667", 5, 6,
+              "ab0bbf32de618a56"),
+        193: ("0.8333333333333333", "exact", "0.4166666666666667", 19, 6,
+              "092f74a6b341fa95"),
+        214: ("0.8517522107365838", "exact", "0.6931471805599453", 9, 4,
+              "47969ea88257ba12"),
+        227: ("1.0", "exact", "0.625", 28, 12,
+              "b86e64423d4e2b12"),
+        232: ("1.1169614273363062", "exact", "1.0397207708399179", 9, 6,
+              "0023c78aa4c10f29"),
+        235: ("1.0", "exact", "0.5", 4, 4,
+              "1aa10e1ae2b1eff7"),
+        267: ("1.1666666666666665", "exact", "0.6666666666666666", 396, 12,
+              "7af986b993117cb3"),
+        320: ("1.005902890563842", "exact", "0.8664339756999316", 7, 4,
+              "e0e2f06181112e67"),
+        340: ("0.6931471805599453", "exact", "0.5776226504666211", 6, 6,
+              "ca184f942672dd39"),
+        362: ("0.8517522107365838", "exact", "0.6931471805599453", 6, 4,
+              "58eaaf2544a2205c"),
+        375: ("1.0", "exact", "0.5", 6, 4,
+              "9280accb72b8e3a2"),
+        386: ("0.7827593392496324", "exact", "0.6931471805599453", 5, 12,
+              "c2beaf54ee36f027"),
+        412: ("0.9808292530117262", "exact", "0.8086717106532696", 24, 6,
+              "26b82617e7832f1b"),
+        421: ("0.75", "exact", "0.4166666666666667", 80, 12,
+              "8157c3e61d257aa1"),
+        425: ("1.0833333333333333", "exact", "0.5833333333333334", 858, 12,
+              "603be362d34a4f66"),
+        444: ("0.8109302162163288", "exact", "0.6931471805599453", 7, 6,
+              "732b8b729a27ff9e"),
+        456: ("0.8109302162163288", "exact", "0.6931471805599453", 7, 4,
+              "014d608ac5b8e94c"),
+        462: ("0.8191269834205073", "exact", "0.6931471805599453", 14, 6,
+              "1ac9e89ae048f160"),
+        478: ("0.6931471805599453", "exact", "0.5776226504666211", 11, 12,
+              "500cc2564539357a"),
+        485: ("1.0", "exact", "0.5", 8, 4,
+              "182337e92fb39f1a"),
+        487: ("0.75", "exact", "0.375", 5, 12,
+              "cb41ae8330c4ed1b"),
+        503: ("1.0", "exact", "0.5", 5, 6,
+              "187f7e76d744e10a"),
+        877: ("0.9999999999999999", "exact", "0.5833333333333334", 1096, 12,
+              "6d7d110a90d47db2"),
+    }
+
+    def test_small_instances(self, monkeypatch):
+        # odd seeds use truncation, and seeds 2, 3 mod 4 the structured family
+        default = transport.FULL_ENUM_LIMIT
+        for seed, want in self.SMALL.items():
+            rng = random.Random(seed)
+            H = random_hypergraph(rng, max_edge_size=5)
+            D = rng.choice((4, 6))
+            mu = random_measure(rng, H, max_denominator=D, max_support=H.n)
+            nu = random_measure(rng, H, max_denominator=D, max_support=H.n)
+            monkeypatch.setattr(transport, "FULL_ENUM_LIMIT",
+                                0 if (seed // 2) % 2 else default)
+            h = (H_LOG, H_TRUNC)[seed % 2]
+            assert _record(wh_exact(H, h, mu, nu)) == want, seed
 
 
 class TestHeuristic:
