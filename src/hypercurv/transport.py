@@ -233,6 +233,21 @@ def _compositions(total, ref):
             yield (first,) + rest, took + took_rest
 
 
+def _t_groups(cur, hi, unpruned):
+    """The t values, ascending, of the groups in which an edge's successors
+    are enumerated exhaustively, or None for the structured family (see
+    _edge_successors)."""
+    k, M = len(cur), sum(cur)
+    if M == 0:
+        return range(0)
+    if k == 2 or unpruned or math.comb(M + k - 1, k - 1) <= FULL_ENUM_LIMIT:
+        if 0 < sum(hi) < k:
+            on_high = sum(itertools.compress(cur, hi))
+            return range(-on_high, M - on_high + 1)
+        return range(1)
+    return None
+
+
 def _edge_successors(cur, goal, hi, unpruned, skip):
     """New value tuples for one edge, with the mass moved and its t.
 
@@ -250,27 +265,25 @@ def _edge_successors(cur, goal, hi, unpruned, skip):
     vertex absorbs the balance.  That family contains every step of the
     worked optimal plans; the unpruned flag restores ground truth.  It is
     generated in its own order, not by t, and `skip` is not consulted.
-    Both yield moved and t as they build each tuple.
+    Both yield moved and t as they build each tuple.  _t_groups tells the
+    two apart.
     """
     k = len(cur)
-    M = sum(cur)
-    if M == 0:
-        return
-    if k == 2 or unpruned or math.comb(M + k - 1, k - 1) <= FULL_ENUM_LIMIT:
+    ts = _t_groups(cur, hi, unpruned)
+    if ts is not None:
         high = [i for i in range(k) if hi[i]]
         low = [i for i in range(k) if not hi[i]]
         cur_high = [cur[i] for i in high]
         cur_low = [cur[i] for i in low]
         on_high = sum(cur_high)
+        on_low = sum(cur_low)
         order = high + low
         place = [order.index(i) for i in range(k)]
-        ts = range(-on_high, M - on_high + 1) if high and low else (0,)
         for t in ts:
             if skip(t):
                 continue
             for top, took_top in _compositions(on_high + t, cur_high):
-                for bottom, took_bottom in _compositions(M - on_high - t,
-                                                         cur_low):
+                for bottom, took_bottom in _compositions(on_low - t, cur_low):
                     moved = took_top + took_bottom
                     # nothing taken means nothing moved: the current values
                     if moved:
@@ -352,76 +365,75 @@ class _SuccessorTable:
     significant field first: moved, generation order, new values.  The
     children of a t group form one sorted run, so a run is ordered by
     moved, which orders it by h(moved) as h is nondecreasing, and then by
-    generation.  A group the exhaustive enumeration yields is built on its
-    first unskipped use; the structured family, which has no t order, is
-    built whole at once.  The runs share one array('q'), a list when an
-    int needs more than 63 bits, so a child costs about 8 bytes and a
-    group 24.
+    generation.  The groups of the exhaustive enumeration are built when a
+    visit first needs them, those one visit needs in one pass; the
+    structured family, which has no t order, is built whole at once.  The
+    runs share one array('q'), a list when an int needs more than 63 bits,
+    so a child costs about 8 bytes and a group 24.
     """
 
-    __slots__ = ("key", "unpruned", "ts", "spans", "packed", "M", "k",
-                 "vbits", "ibits", "lbits")
+    __slots__ = ("key", "unpruned", "grouped", "ts", "spans", "packed",
+                 "M", "k", "vbits", "ibits", "lbits")
 
     def __init__(self, cur, goal, hi, unpruned):
         self.key, self.unpruned = (cur, goal, hi), unpruned
         k, M = self.k, self.M = len(cur), sum(cur)
         self.vbits = max(M, 1).bit_length()
-        # the order of a child: (t + M, index in its group) when grouped,
+        # the order of a child: (t + M, index in its pass) when grouped,
         # its index in the whole family otherwise
         self.ibits = math.comb(M + k - 1, k - 1).bit_length()
         self.lbits = k * self.vbits + (2 * M).bit_length() + self.ibits
         wide = M.bit_length() + self.lbits > 63
         self.packed = [] if wide else array("q")
-        ts = []
-
-        def probe(t):
-            ts.append(t)
-            return True
-
-        # The exhaustive enumeration asks about each t group, in ascending
-        # t, and so yields nothing here; the structured family never asks
-        # and yields every child.
-        whole = {}
-        for n, child in enumerate(
-                _edge_successors(cur, goal, hi, unpruned, probe)):
-            whole.setdefault(child[2], []).append((n, child))
+        ts = _t_groups(cur, hi, unpruned)
+        self.grouped = ts is not None
+        runs = {} if self.grouped else self._runs(None)
         # group ts[i] is packed[spans[2i]:spans[2i + 1]], or unbuilt at -1
-        self.ts = array("q", ts or whole)
+        self.ts = array("q", runs if ts is None else ts)
         self.spans = array("q", [-1, -1]) * len(self.ts)
-        for i, children in enumerate(whole.values()):
-            self._build(i, children)
+        if not self.grouped:
+            self._store(range(len(self.ts)), runs)
 
-    def _build(self, i, children):
-        """Append group ts[i] from (order, (new values, moved, t)) pairs."""
-        vbits, lbits = self.vbits, self.lbits
-        run = []
-        for low, (new, moved, _t) in children:
+    def _runs(self, skip):
+        """t -> packed children, unsorted, of the groups skip(t) keeps."""
+        vbits, lbits, ibits, M = self.vbits, self.lbits, self.ibits, self.M
+        runs = {}
+        for n, (new, moved, t) in enumerate(
+                _edge_successors(*self.key, self.unpruned, skip)):
+            low = (t + M) << ibits | n if self.grouped else n
             for v in reversed(new):
                 low = low << vbits | v
+            run = runs.get(t)
+            if run is None:
+                run = runs[t] = []
             run.append(moved << lbits | low)
-        run.sort()
-        self.spans[2 * i] = len(self.packed)
-        self.packed.extend(run)
-        self.spans[2 * i + 1] = len(self.packed)
+        return runs
 
-    def survivors(self, skip, dear):
+    def _store(self, groups, runs):
+        """Append groups ts[i], i in groups, sorted, from runs."""
+        packed, spans = self.packed, self.spans
+        for i in groups:
+            run = runs.get(self.ts[i], ())
+            spans[2 * i] = len(packed)
+            packed.extend(sorted(run))
+            spans[2 * i + 1] = len(packed)
+
+    def survivors(self, dear):
         """(new values, moved, t), in generation order, of every child that
         comes before the first child of its t group `dear(moved, t)` rejects.
 
-        `skip(t)` may hold only when dear rejects every child with that t;
-        it is asked before a group is built, and a skipped group is not.
+        `dear` must be nondecreasing in moved.  As moved >= |t|, a group
+        that dear(|t|, t) rejects holds no survivor; it is not built.
         """
-        packed, spans, lbits = self.packed, self.spans, self.lbits
+        packed, spans, lbits, ts = self.packed, self.spans, self.lbits, self.ts
+        need = [i for i, t in enumerate(ts)
+                if spans[2 * i] < 0 and not dear(abs(t), t)]
+        if need:
+            wanted = {ts[i] for i in need}
+            self._store(need, self._runs(lambda t: t not in wanted))
         lmask = (1 << lbits) - 1
         found = []
-        for i, t in enumerate(self.ts):
-            if spans[2 * i] < 0:
-                if skip(t):
-                    continue
-                base = (t + self.M) << self.ibits
-                self._build(i, ((base | n, child) for n, child in enumerate(
-                    _edge_successors(*self.key, self.unpruned,
-                                     lambda s: s != t))))
+        for i, t in enumerate(ts):
             for j in range(spans[2 * i], spans[2 * i + 1]):
                 moved = packed[j] >> lbits
                 if dear(moved, t):
@@ -471,11 +483,12 @@ def wh_exact(H: Hypergraph, h: ConcaveCost, mu: ProbMeasure, nu: ProbMeasure,
     reaches the incumbent.
 
     The first visit of a key (an edge's local values, local goal and
-    potential pattern) streams its successors so.  A repeat visit walks
-    the key's _SuccessorTable instead: each t group is sorted by moved,
-    and its walk stops at the first child whose
-    g + h(moved) + envelope(max(W1 + t, 0)) reaches the incumbent, so the
-    structured family is skipped by t group too.  The survivors are
+    potential pattern) streams its successors so, as does every visit of
+    a 2-vertex edge across a potential step, whose t groups hold one child
+    each.  Other repeat visits walk the key's _SuccessorTable instead:
+    each t group is sorted by moved, and its walk stops at the first child
+    whose g + h(moved) + envelope(max(W1 + t, 0)) reaches the incumbent,
+    so the structured family is skipped by t group too.  The survivors are
     pushed in generation order, each tested again against the incumbent
     of the moment, so the search pushes the same children in the same
     order as a plain stream.  Tables live inside one call.
@@ -565,21 +578,28 @@ def _search(H, h, mu, nu, D, max_states, unpruned):
                     >= incumbent_g - COST_TOL)
 
         for k, edge in enumerate(edge_lists):
-            cur = tuple(state[v] for v in edge)
-            base = min(pot[v] for v in edge)
-            hi = tuple(pot[v] - base for v in edge)
+            cur = tuple([state[v] for v in edge])
+            if not any(cur):
+                continue  # no mass on the edge, so no successor
+            base = min([pot[v] for v in edge])
+            hi = tuple([pot[v] - base for v in edge])
             key = (cur, goal_by_edge[k], hi)
             table = tables.get(key, False)
             if table is False:
-                # a first visit streams, so a key met once costs no table
-                tables[key] = None
+                # A table costs about two streams to fill, so a first visit
+                # streams.  A 2-vertex edge across a potential step always
+                # does: each t group holds one child, which moves |t|, so
+                # skip(t) is that child's own test and a walk prunes no
+                # further.
+                if len(cur) > 2 or hi[0] == hi[1]:
+                    tables[key] = None
                 children = _edge_successors(cur, goal_by_edge[k], hi,
                                             unpruned, skip)
             else:
                 if table is None:
                     table = tables[key] = _SuccessorTable(
                         cur, goal_by_edge[k], hi, unpruned)
-                children = table.survivors(skip, dear)
+                children = table.survivors(dear)
             for new_vals, moved, t in children:
                 g2 = g + cost_of(moved)
                 bound = env_of(max(w1u + t, 0))

@@ -116,6 +116,11 @@ class TestAssumption:
         pts = [(Fraction(0), 0.0), (Fraction(1, 2), 0.6), (Fraction(1), 0.2)]
         with pytest.raises(NotConcave):
             ConcaveCost("tabulated", points=pts)
+        # a slight drop at a large scale is not forgiven: only the chord
+        # test scales its slack
+        pts = [(0, 0.0), (Fraction(1, 2), 1000.0), (1, 1000.0 - 1e-9)]
+        with pytest.raises(NotConcave, match="monotone"):
+            ConcaveCost("tabulated", points=pts)
 
     @pytest.mark.parametrize("pts", [
         # decreasing on the last segment only, between two k/256 samples
@@ -127,6 +132,11 @@ class TestAssumption:
         [(0, 0.5), (1, 1.0)]])
     def test_tabulated_tested_at_breakpoints(self, pts):
         with pytest.raises(NotConcave):
+            ConcaveCost("tabulated", points=pts)
+        # a slight drop at a large scale is not forgiven: only the chord
+        # test scales its slack
+        pts = [(0, 0.0), (Fraction(1, 2), 1000.0), (1, 1000.0 - 1e-9)]
+        with pytest.raises(NotConcave, match="monotone"):
             ConcaveCost("tabulated", points=pts)
 
     @pytest.mark.parametrize("pts", [
@@ -147,6 +157,11 @@ class TestAssumption:
         # a convex kink at the same scale is still caught
         pts = [(0, 0.0), (Fraction(1, 2), 0.4e100), (1, 1e100)]
         with pytest.raises(NotConcave):
+            ConcaveCost("tabulated", points=pts)
+        # a slight drop at a large scale is not forgiven: only the chord
+        # test scales its slack
+        pts = [(0, 0.0), (Fraction(1, 2), 1000.0), (1, 1000.0 - 1e-9)]
+        with pytest.raises(NotConcave, match="monotone"):
             ConcaveCost("tabulated", points=pts)
 
 

@@ -40,6 +40,7 @@ from hypercurv.transport import (
     _search,
     _SuccessorTable,
     _step_kernels,
+    _t_groups,
     _two_paths,
 )
 from hypercurv.wasserstein import w1_units
@@ -421,8 +422,15 @@ class TestSuccessorTable:
             full = list(_edge_successors(cur, goal, hi, unpruned,
                                          lambda t: False))
             k = len(cur)
-            branches.add(unpruned or math.comb(M + k - 1, k - 1)
-                         <= transport.FULL_ENUM_LIMIT)
+            grouped = unpruned or math.comb(M + k - 1, k - 1) \
+                <= transport.FULL_ENUM_LIMIT
+            branches.add(grouped)
+            ts = _t_groups(cur, hi, unpruned)
+            assert (ts is not None) == grouped
+            if grouped:
+                # the groups come in the ascending order of _t_groups
+                seen = [t for _, _, t in full]
+                assert seen == sorted(seen) and set(seen) <= set(ts)
             for new, moved, t in full:
                 assert moved == sum(c - n for c, n in zip(cur, new) if c > n)
                 assert t == sum(f * (n - c) for c, n, f in zip(cur, new, hi))
@@ -437,7 +445,7 @@ class TestSuccessorTable:
                 return h.eval(Fraction(moved, M)) + offset[t] >= limit
 
             cut = [c for c in full if not dear(c[1], c[2])]
-            assert table.survivors(lambda t: dear(abs(t), t), dear) == cut
+            assert table.survivors(dear) == cut
             # the union of the groups, walked to the end, is the stream
             walked = {}
 
@@ -445,8 +453,8 @@ class TestSuccessorTable:
                 walked.setdefault(t, []).append(moved)
                 return False
 
-            assert table.survivors(lambda t: False, never) == full
-            assert table.survivors(lambda t: dear(abs(t), t), dear) == cut
+            assert table.survivors(never) == full
+            assert table.survivors(dear) == cut
             # each group is walked in nondecreasing compared cost
             for moves in walked.values():
                 costs = [h.eval(Fraction(m, M)) for m in moves]
@@ -458,7 +466,7 @@ class TestSuccessorTable:
         cur, goal, hi = (2**20, 0, 3, 0), (0, 2**19, 0, 5), (0, 1, 1, 0)
         full = list(_edge_successors(cur, goal, hi, False, lambda t: False))
         table = _SuccessorTable(cur, goal, hi, False)
-        assert table.survivors(lambda t: False, lambda m, t: False) == full
+        assert table.survivors(lambda m, t: False) == full
         assert isinstance(table.packed, list)
 
 
