@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import math
 import random
 import sys
 from fractions import Fraction
@@ -280,6 +281,8 @@ def cmd_selfcheck(args):
     rng = random.Random(args.seed)
     h_log = ConcaveCost("log", a=1)
     h_lin = ConcaveCost("linear", a=1)
+    # log scaled by 1e-12: the search must not depend on the scale of h
+    h_tiny = ConcaveCost("log", a=Fraction(1, 10**12))
     failures = 0
     for trial in range(args.trials):
         H = _random_hypergraph(rng)
@@ -289,14 +292,17 @@ def cmd_selfcheck(args):
         res = wh_exact(H, h_log, mu, nu)
         back = wh_exact(H, h_log, nu, mu)
         lin = wh_exact(H, h_lin, mu, nu)
+        tiny = wh_exact(H, h_tiny, mu, nu)
         ok = (h_log.h1 * float(val) - 1e-12 <= res.value
               <= h_log.hp0 * float(val) + 1e-12
               and abs(res.value - back.value) <= 1e-12
-              and abs(lin.value - float(val)) <= 1e-12)
+              and abs(lin.value - float(val)) <= 1e-12
+              and tiny.optimality == res.optimality
+              and math.isclose(tiny.value, 1e-12 * res.value, rel_tol=1e-9))
         if not ok:
             failures += 1
             print(f"FAIL trial {trial}: w1={val} wh={res.value} "
-                  f"back={back.value} lin={lin.value}")
+                  f"back={back.value} lin={lin.value} tiny={tiny.value}")
     print(f"selfcheck: {args.trials - failures}/{args.trials} trials passed "
           f"(seed {args.seed})")
     return 1 if failures else 0

@@ -122,3 +122,11 @@ def common_denominator(measures) -> int:
         raise ValueError("need at least one measure")
     dens = [p.denominator for m in measures for p in m.weights.values()]
     return lcm(*dens) if dens else 1
+
+
+def quantize(H: Hypergraph, m: ProbMeasure, D: int) -> tuple:
+    """m in units of 1/D by vertex id; D is a multiple of its denominators."""
+    units = [0] * H.n
+    for v, p in m.weights.items():
+        units[H.vertex_id(v)] = p.numerator * (D // p.denominator)
+    return tuple(units)

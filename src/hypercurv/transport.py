@@ -30,6 +30,7 @@ below with no further kernel call.
 
 from __future__ import annotations
 
+import functools
 import heapq
 import itertools
 import json
@@ -46,7 +47,7 @@ from .errors import (
     StepLeavesHyperedge,
 )
 from .hypergraph import Hypergraph
-from .measure import ProbMeasure, common_denominator
+from .measure import ProbMeasure, common_denominator, quantize
 from .wasserstein import Coupling, w1, w1_units
 
 COST_TOL = 1e-12
@@ -186,16 +187,21 @@ def wh_bounds(H: Hypergraph, h: ConcaveCost, mu: ProbMeasure, nu: ProbMeasure):
 # ---------------------------------------------------------------------------
 
 
-def _envelope(h: ConcaveCost, w: Fraction) -> float:
-    """Cheapest way to pay for total W1 movement w: as few full-mass steps
-    as possible plus one fractional step (concavity makes batching best)."""
+def _step_prices(h: ConcaveCost, D: int):
+    """price(m) = h(m / D), memoized: the search's one call site of h."""
+    return functools.cache(lambda m: h.eval(Fraction(m, D)))
+
+
+def _envelope(h1: float, price, w: int, D: int) -> float:
+    """Cheapest way to pay for total W1 movement w / D: as few full-mass
+    steps as possible plus one fractional step (concavity makes batching
+    best), priced in units by h1 = h(1) and the step prices of price."""
     if w <= 0:
         return 0.0
-    whole = int(w)
-    frac = w - whole
-    out = whole * h.h1
+    whole, frac = divmod(w, D)
+    out = whole * h1
     if frac:
-        out += h.eval(frac)
+        out += price(frac)
     return out
 
 
@@ -446,13 +452,6 @@ class _SuccessorTable:
                 for low, moved, t in found]
 
 
-def _quantize(H, m: ProbMeasure, D: int):
-    units = [0] * H.n
-    for v, p in m.weights.items():
-        units[H.vertex_id(v)] = int(p * D)
-    return tuple(units)
-
-
 def wh_exact(H: Hypergraph, h: ConcaveCost, mu: ProbMeasure, nu: ProbMeasure,
              *, max_states: int = 300_000,
              unpruned: bool = False) -> WhResult:
@@ -462,12 +461,15 @@ def wh_exact(H: Hypergraph, h: ConcaveCost, mu: ProbMeasure, nu: ProbMeasure,
     which holds an optimal plan (see the module docstring); a successor
     redistributes one hyperedge's mass.  The admissible, consistent
     heuristic is the concave envelope of the remaining W1 (floor(W1)
-    full-mass steps plus one fractional step).  The greedy construction
-    of wh_heuristic seeds the incumbent so the search only explores
-    strictly cheaper plans; when the goal is popped, or the frontier
-    drains without reaching it, the incumbent is optimal.  Once more than
-    max_states states are expanded the best plan found so far is returned
-    with optimality "heuristic-upper-bound".
+    full-mass steps plus one fractional step), priced in grid units from
+    h(1) and the memoized step prices h(m / D).  Cost comparisons allow a
+    slack of COST_TOL * h(1) and heap keys are rounded relative to h(1),
+    so h and any positive multiple of h run the same search.  The greedy
+    construction of wh_heuristic seeds the incumbent so the search only
+    explores strictly cheaper plans; when the goal is popped, or the
+    frontier drains without reaching it, the incumbent is optimal.  Once
+    more than max_states states are expanded the best plan found so far
+    is returned with optimality "heuristic-upper-bound".
     unpruned=True enumerates every successor of every hyperedge instead of
     the structured family (see _edge_successors).
 
@@ -502,10 +504,11 @@ def _search(H, h, mu, nu, D, max_states, unpruned):
     denominator."""
     mu.check_support(H)
     nu.check_support(H)
-    start = _quantize(H, mu, D)
-    goal = _quantize(H, nu, D)
+    start = quantize(H, mu, D)
+    goal = quantize(H, nu, D)
     lower_units, f_start = w1_units(H, start, goal, D)
-    lower = h.h1 * float(Fraction(lower_units, D))
+    h1 = h.h1
+    lower = h1 * (lower_units / D)
     if start == goal:
         plan = TransportPlan(mu, nu, ())
         return WhResult(0.0, plan, "exact", 0.0, 0, D)
@@ -515,23 +518,12 @@ def _search(H, h, mu, nu, D, max_states, unpruned):
 
     edge_lists = [tuple(e) for e in H.edges]
     goal_by_edge = [tuple(goal[v] for v in e) for e in edge_lists]
-    step_cost = {}
+    cost_of = _step_prices(h, D)
+    env_of = functools.cache(lambda w: _envelope(h1, cost_of, w, D))
 
-    def cost_of(m_units):
-        c = step_cost.get(m_units)
-        if c is None:
-            c = h.eval(Fraction(m_units, D))
-            step_cost[m_units] = c
-        return c
-
-    env_memo = {}
-
-    def env_of(w_units):
-        e = env_memo.get(w_units)
-        if e is None:
-            e = _envelope(h, Fraction(w_units, D))
-            env_memo[w_units] = e
-        return e
+    # Costs scale with h(1), and so do the comparison slacks and the
+    # rounding of the heap keys: h and a*h get the same search.
+    tol, slack = COST_TOL * h1, 1e-15 * h1
 
     # key -> _SuccessorTable, or None after the key's first visit
     tables = {}
@@ -540,7 +532,7 @@ def _search(H, h, mu, nu, D, max_states, unpruned):
     closed = set()
     counter = itertools.count()
     f0 = env_of(lower_units)
-    heap = [(round(f0, 12), 0.0, next(counter), start, 0.0, True,
+    heap = [(round(f0 / h1, 12), 0.0, next(counter), start, 0.0, True,
              lower_units, f_start)]
     expanded = 0
     exhausted = False
@@ -549,17 +541,17 @@ def _search(H, h, mu, nu, D, max_states, unpruned):
         f, _negg, _, state, g, evaluated, w1u, pot = heapq.heappop(heap)
         if state in closed:
             continue
-        if g > g_best.get(state, math.inf) + 1e-15:
+        if g > g_best.get(state, math.inf) + slack:
             continue
         if state == goal:
             break
         if not evaluated:
             true_units, pot = w1_units(H, state, goal, D)
             ft = g + env_of(true_units)
-            if ft >= incumbent_g - COST_TOL:
+            if ft >= incumbent_g - tol:
                 continue
-            if round(ft, 12) > f:
-                heapq.heappush(heap, (round(ft, 12), -g, next(counter),
+            if round(ft / h1, 12) > f:
+                heapq.heappush(heap, (round(ft / h1, 12), -g, next(counter),
                                       state, g, True, true_units, pot))
                 continue
             w1u = true_units
@@ -571,11 +563,11 @@ def _search(H, h, mu, nu, D, max_states, unpruned):
 
         def dear(moved, t):
             return (g + cost_of(moved) + env_of(max(w1u + t, 0))
-                    >= incumbent_g - COST_TOL)
+                    >= incumbent_g - tol)
 
         def skip(t):  # dear(abs(t), t), inlined: streams call it per group
             return (g + cost_of(abs(t)) + env_of(max(w1u + t, 0))
-                    >= incumbent_g - COST_TOL)
+                    >= incumbent_g - tol)
 
         for k, edge in enumerate(edge_lists):
             cur = tuple([state[v] for v in edge])
@@ -603,7 +595,7 @@ def _search(H, h, mu, nu, D, max_states, unpruned):
             for new_vals, moved, t in children:
                 g2 = g + cost_of(moved)
                 bound = env_of(max(w1u + t, 0))
-                if g2 + bound >= incumbent_g - COST_TOL:
+                if g2 + bound >= incumbent_g - tol:
                     continue
                 child = list(state)
                 for v, nv in zip(edge, new_vals):
@@ -611,13 +603,13 @@ def _search(H, h, mu, nu, D, max_states, unpruned):
                 child = tuple(child)
                 if child in closed:
                     continue
-                if g2 >= g_best.get(child, math.inf) - 1e-15:
+                if g2 >= g_best.get(child, math.inf) - slack:
                     continue
                 g_best[child] = g2
                 parents[child] = (state, k, edge, cur, new_vals)
                 if child == goal:
                     incumbent_g = g2
-                heapq.heappush(heap, (round(g2 + bound, 12), -g2,
+                heapq.heappush(heap, (round((g2 + bound) / h1, 12), -g2,
                                       next(counter), child, g2, False, 0,
                                       None))
 
@@ -756,7 +748,7 @@ def _merge_pass(H, h, plan):
                 except (StepLeavesHyperedge, NegativeIntermediateMass,
                         EndpointMismatch):
                     continue
-                if c < best_cost - COST_TOL:
+                if c < best_cost - COST_TOL * h.h1:
                     plan, best_cost, improved = cand_plan, c, True
                     break
             if improved:
@@ -895,7 +887,8 @@ def normalize_plan(H: Hypergraph, h: ConcaveCost, plan: TransportPlan,
                 total += h.eval(mass) if mass > 0 else 0.0
             return total
 
-        s_star = t1 if cost_at(t1) <= cost_at(-t2) + COST_TOL else -t2
+        s_star = (t1 if cost_at(t1) <= cost_at(-t2) + COST_TOL * h.h1
+                  else -t2)
         for i in diff:
             pi = kernels[i]
             pi[p1[i]] = pi.get(p1[i], Fraction(0)) - s_star

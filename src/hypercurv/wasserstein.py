@@ -14,7 +14,7 @@ from fractions import Fraction
 from . import kernels
 from .errors import SupportOutsideEdge
 from .hypergraph import Hypergraph
-from .measure import ProbMeasure, SignedDelta, common_denominator
+from .measure import ProbMeasure, SignedDelta, common_denominator, quantize
 
 
 @dataclass(frozen=True)
@@ -44,6 +44,21 @@ class Coupling:
         return total
 
 
+def _split(start_units, goal_units):
+    """Ascending vertex ids and amounts of start's surplus over goal and of
+    its deficit: (supply ids, supply amounts, demand ids, demand amounts)."""
+    sup_ids, sup_amt, dem_ids, dem_amt = [], [], [], []
+    for v, (s, g) in enumerate(zip(start_units, goal_units)):
+        d = s - g
+        if d > 0:
+            sup_ids.append(v)
+            sup_amt.append(d)
+        elif d < 0:
+            dem_ids.append(v)
+            dem_amt.append(-d)
+    return sup_ids, sup_amt, dem_ids, dem_amt
+
+
 def w1_units(H: Hypergraph, start_units, goal_units, denominator):
     """(W1 * denominator, f) between two integer-quantized measures.
 
@@ -56,15 +71,7 @@ def w1_units(H: Hypergraph, start_units, goal_units, denominator):
     by Kantorovich-Rubinstein duality ``sum(f * (xi - goal_units))`` is a
     lower bound on ``W1 * denominator`` for every other measure xi.
     """
-    sup_ids, sup_amt, dem_ids, dem_amt = [], [], [], []
-    for v in range(len(start_units)):
-        d = start_units[v] - goal_units[v]
-        if d > 0:
-            sup_ids.append(v)
-            sup_amt.append(d)
-        elif d < 0:
-            dem_ids.append(v)
-            dem_amt.append(-d)
+    sup_ids, sup_amt, dem_ids, dem_amt = _split(start_units, goal_units)
     if not sup_ids:
         return 0, [0] * len(start_units)
     mat = H.distance_matrix()
@@ -90,16 +97,9 @@ def w1(H: Hypergraph, mu: ProbMeasure, nu: ProbMeasure):
         q = nu[v]
         if q > 0:
             entries[(v, v)] = min(p, q)
-    sup_ids, sup_amt, dem_ids, dem_amt = [], [], [], []
     D = common_denominator([mu, nu])
-    for v in sorted(set(mu.weights) | set(nu.weights), key=H.vertex_id):
-        d = mu[v] - nu[v]
-        if d > 0:
-            sup_ids.append(H.vertex_id(v))
-            sup_amt.append(int(d * D))
-        elif d < 0:
-            dem_ids.append(H.vertex_id(v))
-            dem_amt.append(int(-d * D))
+    sup_ids, sup_amt, dem_ids, dem_amt = _split(quantize(H, mu, D),
+                                                quantize(H, nu, D))
     if not sup_ids:
         return Fraction(0), Coupling(entries, mu, nu)
     mat = H.distance_matrix()

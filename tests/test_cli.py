@@ -300,3 +300,9 @@ class TestSelfcheck:
     def test_seeded(self, capsys):
         assert main(["selfcheck", "--seed", "3", "--trials", "5"]) == 0
         assert "5/5" in capsys.readouterr().out
+
+    def test_readme_example_scale_invariant(self, capsys):
+        # every trial also solves under log at a = 1e-12 (trials 11, 19
+        # and 23 of this run need the search to scale its slacks with h(1))
+        assert main(["selfcheck", "--seed", "7", "--trials", "25"]) == 0
+        assert "25/25" in capsys.readouterr().out

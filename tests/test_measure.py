@@ -14,6 +14,7 @@ from hypercurv import (
     lazy_random_walk,
 )
 from hypercurv.errors import AlphaOutOfRange, UnknownVertex
+from hypercurv.measure import quantize
 
 from conftest import random_hypergraph, random_measure
 
@@ -89,6 +90,21 @@ class TestCommonDenominator:
         mx = lazy_random_walk(H, "x", Fraction(3, 4))
         my = lazy_random_walk(H, "y", Fraction(3, 4))
         assert common_denominator([mx, my]) == 96
+
+
+class TestQuantize:
+    def test_matches_fraction_scaling(self):
+        # p.numerator * (D // p.denominator) is int(p * D) on every grid
+        # that refines the measure's own
+        rng = random.Random(91)
+        for _ in range(60):
+            H = random_hypergraph(rng)
+            m = random_measure(rng, H)
+            for D in (common_denominator([m]) * k for k in (1, 2, 5, 12)):
+                units = quantize(H, m, D)
+                assert units == tuple(int(m[H.label(v)] * D)
+                                      for v in range(H.n))
+                assert sum(units) == D
 
 
 class TestSignedDelta:

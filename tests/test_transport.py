@@ -32,12 +32,14 @@ from hypercurv.errors import (
     StepLeavesHyperedge,
 )
 from hypercurv import transport
+from hypercurv.measure import quantize
 from hypercurv.transport import (
     COST_TOL,
     _compositions,
     _edge_successors,
-    _quantize,
+    _envelope,
     _search,
+    _step_prices,
     _SuccessorTable,
     _step_kernels,
     _t_groups,
@@ -300,7 +302,8 @@ class TestExact:
         # 15,985, so a budget of 1,500 runs out with the goal on the heap.
         envelope = transport._envelope
         monkeypatch.setattr(transport, "_envelope",
-                            lambda h, w: 0.5 * envelope(h, w))
+                            lambda h1, price, w, D:
+                            0.5 * envelope(h1, price, w, D))
         H = generate("grid9")
         mu = lazy_random_walk(H, "x", Fraction(1, 8))
         nu = lazy_random_walk(H, "y", Fraction(1, 8))
@@ -312,6 +315,40 @@ class TestExact:
         assert res.value <= greedy
         # the searched plan to the pushed goal, not the greedy seed
         assert res.value < greedy - 1e-12
+
+    def test_small_scale_cost_same_search(self):
+        # The search's slacks and heap-key rounding scale with h(1), so log
+        # at a = 1e-12 runs the search of log at a = 1: same status, same
+        # expansions, value times a.
+        H = generate("grid9")
+        mu = lazy_random_walk(H, "x", Fraction(1, 2))
+        nu = lazy_random_walk(H, "y", Fraction(1, 2))
+        a = Fraction(1, 10**12)
+        unit = wh_exact(H, H_LOG, mu, nu)
+        tiny = wh_exact(H, ConcaveCost("log", a=a), mu, nu)
+        assert unit.optimality == tiny.optimality == "exact"
+        assert tiny.value / float(a) == pytest.approx(unit.value, rel=1e-12)
+        assert tiny.states_expanded == unit.states_expanded
+
+
+class TestEnvelope:
+    """The search's envelope, priced in grid units, against its rational
+    definition int(w)*h(1) + h(w - int(w)) at w = units / D."""
+
+    @pytest.mark.parametrize("h", [
+        H_LIN, H_LOG, H_TRUNC,
+        ConcaveCost("trunc_log_combo", a=Fraction(1, 4)),
+        ConcaveCost("power", a=Fraction(1, 2)),
+        ConcaveCost("tabulated", points=[(0, 0.0), (Fraction(1, 4), 0.4),
+                                         (Fraction(1, 2), 0.65), (1, 1.0)]),
+    ])
+    def test_units_match_fraction_form(self, h):
+        for D in (4, 6, 192, 2048):
+            price = _step_prices(h, D)
+            for w in range(3 * D + 1):
+                whole = int(Fraction(w, D))
+                want = whole * h.h1 + h.eval(Fraction(w, D) - whole)
+                assert repr(_envelope(h.h1, price, w, D)) == repr(want)
 
 
 class TestDualBound:
@@ -325,7 +362,7 @@ class TestDualBound:
             mu = random_measure(rng, H, max_denominator=8)
             nu = random_measure(rng, H, max_denominator=8)
             D = common_denominator([mu, nu])
-            yield H, _quantize(H, mu, D), _quantize(H, nu, D), D
+            yield H, quantize(H, mu, D), quantize(H, nu, D), D
 
     def test_potential_is_1_lipschitz_and_tight(self):
         for H, start, goal, D in self._instances(577, 40):
@@ -615,6 +652,18 @@ class TestHeuristic:
                 res = wh_heuristic(H, h, mu, nu)
                 # the seed's value is the plan_cost of its plan, bit for bit
                 assert plan_cost(H, h, res.plan) == res.value
+
+    def test_scale_invariant(self):
+        # merges are accepted on a drop relative to h(1), so log at
+        # a = 1e-12 merges as log at a = 1 does
+        H = generate("grid9")
+        mu = lazy_random_walk(H, "x", Fraction(1, 2))
+        nu = lazy_random_walk(H, "y", Fraction(1, 2))
+        a = Fraction(1, 10**12)
+        unit = wh_heuristic(H, H_LOG, mu, nu)
+        tiny = wh_heuristic(H, ConcaveCost("log", a=a), mu, nu)
+        assert tiny.plan == unit.plan
+        assert tiny.value / float(a) == pytest.approx(unit.value, rel=1e-12)
 
 
 class TestSandwich:

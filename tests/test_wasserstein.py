@@ -11,11 +11,14 @@ from hypercurv import (
     dirac,
     generate,
     graph_distance,
+    common_denominator,
     lazy_random_walk,
     w1,
     within_edge_w1,
 )
 from hypercurv.errors import SupportOutsideEdge, SupportOutsideVertexSet
+from hypercurv.measure import quantize
+from hypercurv.wasserstein import w1_units
 
 from conftest import random_hypergraph, random_measure
 
@@ -113,6 +116,19 @@ class TestDuality:
                 gap = sum(f[v] * p for v, p in mu.weights.items())
                 gap -= sum(f[v] * p for v, p in nu.weights.items())
                 assert gap <= val
+
+    def test_units_form_matches_w1(self):
+        # w1 and w1_units share the quantizer and the supply/demand split
+        rng = random.Random(52)
+        for _ in range(50):
+            H = random_hypergraph(rng)
+            mu = random_measure(rng, H)
+            nu = random_measure(rng, H)
+            D = common_denominator([mu, nu])
+            val, coup = w1(H, mu, nu)
+            coup.check()
+            units, _ = w1_units(H, quantize(H, mu, D), quantize(H, nu, D), D)
+            assert val * D == units
 
 
 class TestWithinEdge:
