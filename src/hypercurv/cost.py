@@ -179,10 +179,12 @@ class ConcaveCost:
         samples = self.points or [(x, self.eval(x)) for x in _GRID]
         pts = [(float(x), y) for x, y in samples]
         ys = [y for _, y in pts]
-        monotone = all(v >= u - 1e-12 for u, v in zip(ys, ys[1:]))
-        # the chord's float rounding grows with its ends, so its slack does
+        # float rounding scales with the values compared, so both slacks
+        # do, and a cost whose values are all tiny is still tested: a step
+        # may drop by a few ulps of its start, a chord by 1e-12 of its ends
+        monotone = all(v >= u - 1e-15 * abs(u) for u, v in zip(ys, ys[1:]))
         concave = all(y1 >= y0 + (y2 - y0) * (x1 - x0) / (x2 - x0)
-                      - 1e-12 * max(1.0, abs(y0), abs(y2))
+                      - 1e-12 * max(abs(y0), abs(y2))
                       for (x0, y0), (x1, y1), (x2, y2)
                       in zip(pts, pts[1:], pts[2:]))
         return ys[0] == 0.0, monotone, concave

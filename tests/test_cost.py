@@ -116,11 +116,6 @@ class TestAssumption:
         pts = [(Fraction(0), 0.0), (Fraction(1, 2), 0.6), (Fraction(1), 0.2)]
         with pytest.raises(NotConcave):
             ConcaveCost("tabulated", points=pts)
-        # a slight drop at a large scale is not forgiven: only the chord
-        # test scales its slack
-        pts = [(0, 0.0), (Fraction(1, 2), 1000.0), (1, 1000.0 - 1e-9)]
-        with pytest.raises(NotConcave, match="monotone"):
-            ConcaveCost("tabulated", points=pts)
 
     @pytest.mark.parametrize("pts", [
         # decreasing on the last segment only, between two k/256 samples
@@ -132,11 +127,6 @@ class TestAssumption:
         [(0, 0.5), (1, 1.0)]])
     def test_tabulated_tested_at_breakpoints(self, pts):
         with pytest.raises(NotConcave):
-            ConcaveCost("tabulated", points=pts)
-        # a slight drop at a large scale is not forgiven: only the chord
-        # test scales its slack
-        pts = [(0, 0.0), (Fraction(1, 2), 1000.0), (1, 1000.0 - 1e-9)]
-        with pytest.raises(NotConcave, match="monotone"):
             ConcaveCost("tabulated", points=pts)
 
     @pytest.mark.parametrize("pts", [
@@ -158,11 +148,25 @@ class TestAssumption:
         pts = [(0, 0.0), (Fraction(1, 2), 0.4e100), (1, 1e100)]
         with pytest.raises(NotConcave):
             ConcaveCost("tabulated", points=pts)
-        # a slight drop at a large scale is not forgiven: only the chord
-        # test scales its slack
+        # a slight drop at a large scale is not forgiven: the monotone
+        # slack is a few ulps of the values, not the chord's 1e-12
         pts = [(0, 0.0), (Fraction(1, 2), 1000.0), (1, 1000.0 - 1e-9)]
         with pytest.raises(NotConcave, match="monotone"):
             ConcaveCost("tabulated", points=pts)
+        # nor is any shape at a tiny scale: a decreasing and a convex table
+        # whose values are all below 1e-12
+        pts = [(0, 0.0), (Fraction(1, 2), 5e-13), (1, 1e-13)]
+        with pytest.raises(NotConcave, match="monotone"):
+            ConcaveCost("tabulated", points=pts)
+        pts = [(0, 0.0), (Fraction(1, 2), 1e-14), (1, 8e-13)]
+        with pytest.raises(NotConcave, match="concave"):
+            ConcaveCost("tabulated", points=pts)
+
+    @pytest.mark.parametrize("family", [
+        "linear", "log", "truncation", "trunc_log_combo", "power"])
+    def test_builtins_at_tiny_scale(self, family):
+        rep = ConcaveCost(family, a=Fraction(1, 10 ** 12)).check_assumption()
+        assert rep.zero_at_zero and rep.monotone and rep.concave
 
 
 class TestShapeProperties:

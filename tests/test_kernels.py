@@ -1,4 +1,5 @@
-"""The transport kernel's values and dual certificate."""
+"""The transport kernel's values and dual certificate, and its identity
+with the linear-scan kernel it replaced."""
 
 import random
 
@@ -6,10 +7,113 @@ import pytest
 
 from hypercurv import kernels
 
+INF = kernels.INF
 
-def random_instance(rng, max_side=6, max_supply=30, max_cost=9):
-    ns = rng.randint(1, max_side)
-    nt = rng.randint(1, max_side)
+
+def _reference_solve(supplies, demands, costs, n_src, n_snk):
+    """The linear-scan kernel the heap-ordered one replaced, kept verbatim:
+    every phase runs a full Dijkstra over all nodes."""
+    if sum(supplies) != sum(demands):
+        raise ValueError("supplies and demands must balance")
+    flow = [0] * (n_src * n_snk)
+    rem_s = list(supplies)
+    rem_d = list(demands)
+    pot_s = [0] * n_src
+    pot_t = [0] * n_snk
+    remaining = sum(rem_s)
+
+    while remaining > 0:
+        dist_s = [INF] * n_src
+        dist_t = [INF] * n_snk
+        par_t = [-1] * n_snk
+        par_s = [-1] * n_src
+        done_s = [False] * n_src
+        done_t = [False] * n_snk
+        for i in range(n_src):
+            if rem_s[i] > 0:
+                dist_s[i] = 0
+
+        while True:
+            best = INF
+            side = -1
+            idx = -1
+            for i in range(n_src):
+                if not done_s[i] and dist_s[i] < best:
+                    best, side, idx = dist_s[i], 0, i
+            for j in range(n_snk):
+                if not done_t[j] and dist_t[j] < best:
+                    best, side, idx = dist_t[j], 1, j
+            if idx < 0:
+                break
+            if side == 0:
+                done_s[idx] = True
+                base = idx * n_snk
+                for j in range(n_snk):
+                    if not done_t[j]:
+                        nd = dist_s[idx] + costs[base + j] + pot_s[idx] - pot_t[j]
+                        if nd < dist_t[j]:
+                            dist_t[j] = nd
+                            par_t[j] = idx
+            else:
+                done_t[idx] = True
+                for i in range(n_src):
+                    if not done_s[i] and flow[i * n_snk + idx] > 0:
+                        nd = dist_t[idx] - costs[i * n_snk + idx] + pot_t[idx] - pot_s[i]
+                        if nd < dist_s[i]:
+                            dist_s[i] = nd
+                            par_s[i] = idx
+
+        j_star = -1
+        best = INF
+        for j in range(n_snk):
+            if rem_d[j] > 0 and dist_t[j] < best:
+                best = dist_t[j]
+                j_star = j
+        if j_star < 0:
+            raise ValueError("infeasible transportation instance")
+
+        # bottleneck along the alternating path ending at j_star
+        bott = rem_d[j_star]
+        j = j_star
+        while True:
+            i = par_t[j]
+            prev_j = par_s[i]
+            if prev_j < 0:
+                if rem_s[i] < bott:
+                    bott = rem_s[i]
+                break
+            if flow[i * n_snk + prev_j] < bott:
+                bott = flow[i * n_snk + prev_j]
+            j = prev_j
+
+        j = j_star
+        while True:
+            i = par_t[j]
+            flow[i * n_snk + j] += bott
+            prev_j = par_s[i]
+            if prev_j < 0:
+                rem_s[i] -= bott
+                break
+            flow[i * n_snk + prev_j] -= bott
+            j = prev_j
+        rem_d[j_star] -= bott
+        remaining -= bott
+
+        d_star = dist_t[j_star]
+        for i in range(n_src):
+            pot_s[i] += dist_s[i] if dist_s[i] < d_star else d_star
+        for j in range(n_snk):
+            pot_t[j] += dist_t[j] if dist_t[j] < d_star else d_star
+
+    total = 0
+    for k, f in enumerate(flow):
+        if f > 0:
+            total += f * costs[k]
+    return total, flow, pot_s, pot_t
+
+
+def random_instance(rng, max_side=6, max_supply=30, max_cost=9, shape=None):
+    ns, nt = shape or (rng.randint(1, max_side), rng.randint(1, max_side))
     supplies = [rng.randint(0, max_supply) for _ in range(ns)]
     if sum(supplies) == 0:
         supplies[0] = 1
@@ -18,6 +122,29 @@ def random_instance(rng, max_side=6, max_supply=30, max_cost=9):
     demands = [b - a for a, b in zip([0] + cuts, cuts + [total])]
     costs = [rng.randint(0, max_cost) for _ in range(ns * nt)]
     return supplies, demands, costs, ns, nt
+
+
+def assert_certificate(sup, dem, costs, ns, nt):
+    """The final potentials are feasible, tight on every used arc and reach
+    the primal cost (strong duality)."""
+    total, flow, pot_s, pot_t = kernels._solve(sup, dem, costs, ns, nt)
+    for i in range(ns):
+        for j in range(nt):
+            c = costs[i * nt + j]
+            assert pot_t[j] - pot_s[i] <= c
+            if flow[i * nt + j] > 0:
+                assert pot_t[j] - pot_s[i] == c
+    dual = (sum(p * d for p, d in zip(pot_t, dem))
+            - sum(p * s for p, s in zip(pot_s, sup)))
+    assert dual == total
+
+
+def assert_same_as_reference(sup, dem, costs, ns, nt):
+    """Cost, flow and sink potentials equal the linear-scan kernel's.  The
+    source potentials may differ: only their feasibility is promised."""
+    total, flow, _, pot_t = kernels._solve(sup, dem, costs, ns, nt)
+    want, want_flow, _, want_pot_t = _reference_solve(sup, dem, costs, ns, nt)
+    assert (total, flow, pot_t) == (want, want_flow, want_pot_t)
 
 
 class TestPureKernel:
@@ -35,6 +162,11 @@ class TestPureKernel:
     def test_balance_required(self):
         with pytest.raises(ValueError):
             total, _ = kernels.transport_value([2], [1], [1], 1, 1)
+
+    def test_negative_cost_rejected(self):
+        # the early exit needs nonnegative reduced costs from the first phase
+        with pytest.raises(ValueError, match="nonnegative"):
+            kernels.transport_value([1, 1], [1, 1], [0, 1, -1, 0], 2, 2)
 
     def test_brute_force_tiny(self):
         # exhaustive check on 2x2 instances against direct enumeration
@@ -58,21 +190,9 @@ class TestPureKernel:
             assert got == best
 
     def test_dual_certificate(self):
-        # the final potentials are feasible, tight on every used arc and
-        # reach the primal cost (strong duality)
         rng = random.Random(2718)
         for _ in range(300):
-            sup, dem, costs, ns, nt = random_instance(rng)
-            total, flow, pot_s, pot_t = kernels._solve(sup, dem, costs, ns, nt)
-            for i in range(ns):
-                for j in range(nt):
-                    c = costs[i * nt + j]
-                    assert pot_t[j] - pot_s[i] <= c
-                    if flow[i * nt + j] > 0:
-                        assert pot_t[j] - pot_s[i] == c
-            dual = (sum(p * d for p, d in zip(pot_t, dem))
-                    - sum(p * s for p, s in zip(pot_s, sup)))
-            assert dual == total
+            assert_certificate(*random_instance(rng))
 
     def test_value_potentials_c_transform(self):
         # transport_value's sink potentials alone certify the optimum: with
@@ -88,3 +208,63 @@ class TestPureKernel:
             dual = (sum(gi * s for gi, s in zip(g, sup))
                     + sum(p * d for p, d in zip(pot_t, dem)))
             assert dual == total
+
+
+class TestAgainstReference:
+    """The heap-ordered kernel settles the same nodes in the same order as
+    the linear scan up to the nearest deficit sink, so it must find the
+    same augmenting paths and return the same flow and sink potentials."""
+
+    def test_seeded_instances(self):
+        # every shape from 1x1 to 10x10; hop-like costs in 0..4 make ties
+        # frequent, and random_instance draws zero supplies and demands
+        rng = random.Random(10)
+        for ns in range(1, 11):
+            for nt in range(1, 11):
+                for _ in range(30):
+                    assert_same_as_reference(*random_instance(
+                        rng, max_supply=12, max_cost=4, shape=(ns, nt)))
+
+    def test_lowest_index_deficit_sink(self):
+        # In the third phase sources 1 and 2 have supply left and sinks 0
+        # and 1 demand.  Sink 1 is popped first at d* = 0.  Sink 0 reaches
+        # d* = 0 only afterwards, through the zero-reduced-cost back edge
+        # from sink 2 to source 0 and then the arc from source 0.  The
+        # path must end at sink 0, the lower index; ending it at the first
+        # deficit sink popped gives another optimal flow of the same cost.
+        sup, dem = [2, 1, 2], [2, 2, 1]
+        costs = [1, 1, 0,
+                 2, 1, 0,
+                 2, 2, 2]
+        total, flow, _, pot_t = kernels._solve(sup, dem, costs, 3, 3)
+        assert (total, flow, pot_t) == (6, [2, 0, 0, 0, 0, 1, 0, 2, 0],
+                                         [2, 2, 1])
+        assert_same_as_reference(sup, dem, costs, 3, 3)
+
+    @pytest.mark.parametrize("sup,dem,costs", [
+        # one source: a zero-demand sink's potential is capped at the
+        # largest cost of a demanded sink
+        ([3], [0, 2, 0, 1], [5, 1, 0, 2]),
+        ([4], [4, 0, 0], [3, 9, 1]),
+        ([0], [0, 0], [2, 7]),
+        # one sink: only positive-supply sources set its potential
+        ([0, 2, 1], [3], [5, 1, 3]),
+        ([0, 0, 4], [4], [9, 8, 1]),
+        ([0, 0], [0], [4, 2]),
+    ])
+    def test_closed_forms_with_zero_amounts(self, sup, dem, costs):
+        ns, nt = len(sup), len(dem)
+        assert_same_as_reference(sup, dem, costs, ns, nt)
+        assert_certificate(sup, dem, costs, ns, nt)
+
+    def test_closed_forms_seeded(self):
+        rng = random.Random(11)
+        for _ in range(500):
+            n = rng.randint(1, 10)
+            amounts = [rng.choice((0, 0, rng.randint(1, 9))) for _ in range(n)]
+            tot = sum(amounts)
+            costs = [rng.randint(0, 4) for _ in range(n)]
+            for case in (([tot], amounts, costs, 1, n),
+                         (amounts, [tot], costs, n, 1)):
+                assert_same_as_reference(*case)
+                assert_certificate(*case)
