@@ -19,13 +19,6 @@ popped: a lower-index sink can reach ``d*`` later through a back edge of
 zero reduced cost.  Each sink keeps the set of sources whose flow it
 receives, so settling a sink visits its back edges only.
 
-One source or one sink has a closed form with no phase loop.  One source
-sends each sink its demand, and ``pot_t[j] = min(c_j, top)`` with ``top``
-the largest cost of a sink with positive demand.  One sink takes every
-supply, and ``pot_t = [top]`` with ``top`` the largest cost of a source
-with positive supply.  Both are the sink potentials the phase loop would
-reach; one sink's source potentials ``top - c_i`` are tight on every arc.
-
 The final potentials are an optimal dual certificate: every pair obeys
 ``pot_t[j] - pot_s[i] <= c_ij`` with equality wherever flow runs, so
 ``sum(pot_t * demands) - sum(pot_s * supplies)`` equals the total cost.
@@ -49,14 +42,6 @@ def _solve(supplies, demands, costs, n_src, n_snk):
         raise ValueError("supplies and demands must balance")
     if costs and min(costs) < 0:
         raise ValueError("costs must be nonnegative")
-    if remaining and n_src == 1:
-        top = max([c for c, d in zip(costs, demands) if d])
-        pot_t = [c if c < top else top for c in costs]
-        return sum(map(mul, costs, demands)), list(demands), [0], pot_t
-    if remaining and n_snk == 1:
-        top = max([c for c, s in zip(costs, supplies) if s])
-        return (sum(map(mul, costs, supplies)), list(supplies),
-                [top - c for c in costs], [top])
 
     n = n_src + n_snk
     rows = [costs[i * n_snk:(i + 1) * n_snk] for i in range(n_src)]
