@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
+from importlib import resources
 
 from .errors import (
     BadParams,
@@ -56,7 +57,7 @@ class Hypergraph:
         self.incidence: tuple[tuple[int, ...], ...] = self._build_incidence()
         self._neighbors: list[tuple[int, ...]] | None = None
         self._dist: list[list[int]] | None = None
-        self._report = self._validate(source_lines or {})
+        self._report, self._findings = self._validate(source_lines or {})
         if strict:
             self.require_valid()
 
@@ -75,17 +76,20 @@ class Hypergraph:
                 inc[i].append(k)
         return tuple(tuple(lst) for lst in inc)
 
-    def _validate(self, source_lines) -> ValidationReport:
-        violations = []
+    def _validate(self, source_lines):
+        """The report, and each of its violations with the error class that
+        require_valid raises for it."""
+        findings = []
         loc = lambda k: source_lines.get(k, f"hyperedge #{k}")
         if not self.vertices or not self.edges:
-            violations.append("empty vertex or hyperedge set")
+            findings.append((EmptyInput, "empty vertex or hyperedge set"))
         seen = {}
         for k, e in enumerate(self.edges):
             if len(e) < 2:
-                violations.append(f"loop (single-vertex hyperedge) at {loc(k)}")
+                findings.append((LoopFound, f"loop (single-vertex hyperedge) at {loc(k)}"))
             if e in seen:
-                violations.append(f"duplicate hyperedge at {loc(k)} (same as {loc(seen[e])})")
+                findings.append((DuplicateHyperedge,
+                                 f"duplicate hyperedge at {loc(k)} (same as {loc(seen[e])})"))
             seen[e] = k
         simple = True
         sets = [frozenset(e) for e in self.edges]
@@ -93,12 +97,13 @@ class Hypergraph:
             for b in range(len(sets)):
                 if a != b and sets[a] < sets[b]:
                     simple = False
-                    violations.append(f"hyperedge at {loc(a)} contained in {loc(b)}")
+                    findings.append((NotSimple, f"hyperedge at {loc(a)} contained in {loc(b)}"))
         connected = self._connected()
         if not connected:
-            violations.append("hypergraph is not connected")
-        return ValidationReport(connected=connected, simple=simple,
-                                violations=tuple(violations))
+            findings.append((NotConnected, "hypergraph is not connected"))
+        report = ValidationReport(connected=connected, simple=simple,
+                                  violations=tuple(m for _, m in findings))
+        return report, tuple(findings)
 
     def _connected(self) -> bool:
         if not self.vertices:
@@ -124,17 +129,9 @@ class Hypergraph:
         return self._report
 
     def require_valid(self):
-        for v in self._report.violations:
-            if "loop" in v:
-                raise LoopFound(v)
-            if "duplicate hyperedge" in v:
-                raise DuplicateHyperedge(v)
-            if "contained in" in v:
-                raise NotSimple(v)
-            if "not connected" in v:
-                raise NotConnected(v)
-            if "empty" in v:
-                raise EmptyInput(v)
+        if self._findings:
+            error, message = self._findings[0]
+            raise error(message)
         return self
 
     def vertex_id(self, label: str) -> int:
@@ -191,7 +188,8 @@ def parse_hypergraph(text: str, strict: bool = True) -> Hypergraph:
 
     With ``strict`` (the default) any validation finding raises the matching
     error naming the offending line; ``strict=False`` keeps non-simple or
-    disconnected inputs parseable for inspection.
+    disconnected inputs parseable for inspection.  A line that repeats a
+    label raises DuplicateHyperedge either way.
     """
     edges = []
     source_lines = {}
@@ -201,10 +199,14 @@ def parse_hypergraph(text: str, strict: bool = True) -> Hypergraph:
         if not line:
             continue
         labels = line.split()
+        edge = set(labels)
+        if len(edge) != len(labels):
+            twice = next(v for v in labels if labels.count(v) > 1)
+            raise DuplicateHyperedge(f"vertex {twice!r} repeated on line {lineno}")
         for v in labels:
             order.setdefault(v, None)
         source_lines[len(edges)] = f"line {lineno}"
-        edges.append(set(labels))
+        edges.append(edge)
     if not edges:
         raise EmptyInput("no hyperedges found in input")
     return Hypergraph(order.keys(), edges, strict=strict, source_lines=source_lines)
@@ -268,16 +270,6 @@ def generate(family: str, n: int | None = None) -> Hypergraph:
     if family == "grid9":
         if n is not None:
             raise BadParams("grid9 takes no size parameter")
-        return parse_hypergraph(GRID9_TEXT)
+        grid9 = resources.files(__package__) / "data" / "grid9.hg"
+        return parse_hypergraph(grid9.read_text(encoding="utf-8"))
     raise BadParams(f"unknown family {family!r}")
-
-
-# The 3x3 grid hypergraph: rows bottom to top are (v1 v2 v3), (v4 x v6),
-# (y v8 v9); each hyperedge covers one 2x2 block.
-GRID9_TEXT = """\
-# 3x3 grid covered by four 2x2 hyperedges
-v1 v2 v4 x
-v2 v3 x v6
-v4 x y v8
-x v6 v8 v9
-"""

@@ -254,7 +254,7 @@ def _t_groups(cur, hi, unpruned):
     return None
 
 
-def _edge_successors(cur, goal, hi, unpruned, skip):
+def _edge_successors(cur, goal, hi, unpruned, dear):
     """New value tuples for one edge, with the mass moved and its t.
 
     `hi` flags the edge's high-potential vertices (potential one above the
@@ -265,14 +265,14 @@ def _edge_successors(cur, goal, hi, unpruned, skip):
     2-vertex edges (complete on graphs), edges whose composition count is
     at most FULL_ENUM_LIMIT, and every edge under `unpruned` are enumerated
     exhaustively, grouped by t so that a whole group is dropped when
-    `skip(t)` is true; an edge whose potentials are all equal has the one
-    group t = 0.  Larger hyperedges use a structured family: sources drain
-    to 0 or to their goal value, targets fill to their goal value, one
-    vertex absorbs the balance.  That family contains every step of the
-    worked optimal plans; the unpruned flag restores ground truth.  It is
-    generated in its own order, not by t, and `skip` is not consulted.
-    Both yield moved and t as they build each tuple.  _t_groups tells the
-    two apart.
+    `dear(|t|, t)` is true, the test of its cheapest possible child; an
+    edge whose potentials are all equal has the one group t = 0.  Larger
+    hyperedges use a structured family: sources drain to 0 or to their
+    goal value, targets fill to their goal value, one vertex absorbs the
+    balance.  That family contains every step of the worked optimal plans;
+    the unpruned flag restores ground truth.  It is generated in its own
+    order, not by t, and `dear` is not consulted.  Both yield moved and t
+    as they build each tuple.  _t_groups tells the two apart.
     """
     k = len(cur)
     ts = _t_groups(cur, hi, unpruned)
@@ -286,7 +286,7 @@ def _edge_successors(cur, goal, hi, unpruned, skip):
         order = high + low
         place = [order.index(i) for i in range(k)]
         for t in ts:
-            if skip(t):
+            if dear(abs(t), t):
                 continue
             for top, took_top in _compositions(on_high + t, cur_high):
                 for bottom, took_bottom in _compositions(on_low - t, cur_low):
@@ -400,12 +400,13 @@ class _SuccessorTable:
         if not self.grouped:
             self._store(range(len(self.ts)), runs)
 
-    def _runs(self, skip):
-        """t -> packed children, unsorted, of the groups skip(t) keeps."""
+    def _runs(self, dear):
+        """t -> packed children, unsorted, of the groups dear(|t|, t)
+        keeps."""
         vbits, lbits, ibits, M = self.vbits, self.lbits, self.ibits, self.M
         runs = {}
         for n, (new, moved, t) in enumerate(
-                _edge_successors(*self.key, self.unpruned, skip)):
+                _edge_successors(*self.key, self.unpruned, dear)):
             low = (t + M) << ibits | n if self.grouped else n
             for v in reversed(new):
                 low = low << vbits | v
@@ -436,7 +437,7 @@ class _SuccessorTable:
                 if spans[2 * i] < 0 and not dear(abs(t), t)]
         if need:
             wanted = {ts[i] for i in need}
-            self._store(need, self._runs(lambda t: t not in wanted))
+            self._store(need, self._runs(lambda moved, t: t not in wanted))
         lmask = (1 << lbits) - 1
         found = []
         for i, t in enumerate(ts):
@@ -480,17 +481,16 @@ def wh_exact(H: Hypergraph, h: ConcaveCost, mu: ProbMeasure, nu: ProbMeasure,
     bound envelope(max(W1 - moved, 0)); its exact W1 is computed only when
     it is popped.  f takes two adjacent values on a hyperedge, so
     <f, delta> = t, the net mass moved onto the higher vertices, and
-    moved >= |t|.  Exhaustive enumeration runs group by group in t and
-    skips a group outright once g + h(|t|) + envelope(max(W1 + t, 0))
-    reaches the incumbent.
+    moved >= |t|.  One test prunes: a child is too dear once
+    g + h(moved) + envelope(max(W1 + t, 0)) reaches the incumbent, and
+    exhaustive enumeration skips a whole t group when its cheapest
+    possible child, which moves |t|, is too dear.
 
     The first visit of a key (an edge's local values, local goal and
-    potential pattern) streams its successors so, as does every visit of
-    a 2-vertex edge across a potential step, whose t groups hold one child
-    each.  Other repeat visits walk the key's _SuccessorTable instead:
-    each t group is sorted by moved, and its walk stops at the first child
-    whose g + h(moved) + envelope(max(W1 + t, 0)) reaches the incumbent,
-    so the structured family is skipped by t group too.  The survivors are
+    potential pattern) streams its successors so.  Every later visit
+    walks the key's _SuccessorTable instead: each t group is sorted by
+    moved, and its walk stops at the first child that is too dear, so the
+    structured family is skipped by t group too.  The survivors are
     pushed in generation order, each tested again against the incumbent
     of the moment, so the search pushes the same children in the same
     order as a plain stream.  Tables live inside one call.
@@ -565,10 +565,6 @@ def _search(H, h, mu, nu, D, max_states, unpruned):
             return (g + cost_of(moved) + env_of(max(w1u + t, 0))
                     >= incumbent_g - tol)
 
-        def skip(t):  # dear(abs(t), t), inlined: streams call it per group
-            return (g + cost_of(abs(t)) + env_of(max(w1u + t, 0))
-                    >= incumbent_g - tol)
-
         for k, edge in enumerate(edge_lists):
             cur = tuple([state[v] for v in edge])
             if not any(cur):
@@ -578,15 +574,11 @@ def _search(H, h, mu, nu, D, max_states, unpruned):
             key = (cur, goal_by_edge[k], hi)
             table = tables.get(key, False)
             if table is False:
-                # A table costs about two streams to fill, so a first visit
-                # streams.  A 2-vertex edge across a potential step always
-                # does: each t group holds one child, which moves |t|, so
-                # skip(t) is that child's own test and a walk prunes no
-                # further.
-                if len(cur) > 2 or hi[0] == hi[1]:
-                    tables[key] = None
+                # a table costs about two streams to fill: a first visit
+                # streams
+                tables[key] = None
                 children = _edge_successors(cur, goal_by_edge[k], hi,
-                                            unpruned, skip)
+                                            unpruned, dear)
             else:
                 if table is None:
                     table = tables[key] = _SuccessorTable(

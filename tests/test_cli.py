@@ -4,6 +4,7 @@ import csv
 import io
 import json
 from fractions import Fraction
+from importlib import resources
 
 import pytest
 
@@ -17,7 +18,6 @@ from hypercurv import (
     wh_heuristic,
 )
 from hypercurv.cli import main
-from hypercurv.hypergraph import GRID9_TEXT
 
 LOG1 = '{"family":"log","a":"1"}'
 LIN1 = '{"family":"linear","a":"1"}'
@@ -30,7 +30,7 @@ DEGENERATE_SPECS = ['{"family":"tabulated","points":[[0,0],[1,0]]}',
 @pytest.fixture
 def grid9_file(tmp_path):
     p = tmp_path / "grid9.hg"
-    p.write_text(GRID9_TEXT)
+    p.write_text((resources.files("hypercurv") / "data" / "grid9.hg").read_text())
     return str(p)
 
 
@@ -62,6 +62,14 @@ class TestValidate:
         assert main(["validate", str(tmp_path)]) == 1
         err = capsys.readouterr().err
         assert err.startswith("error: IsADirectory: ")
+        assert err.count("\n") == 1
+
+    def test_repeated_label_exits_one(self, tmp_path, capsys):
+        p = tmp_path / "repeat.hg"
+        p.write_text("a a b\nb c\n")
+        assert main(["validate", str(p)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: DuplicateHyperedge: ") and "line 1" in err
         assert err.count("\n") == 1
 
     def test_binary_file_exits_one(self, tmp_path, capsys):

@@ -393,7 +393,7 @@ class TestDualBound:
                 assert set(hi) <= {0, 1}
                 goal_e = tuple(goal[v] for v in edge)
                 for new, moved, t in _edge_successors(
-                        cur, goal_e, hi, unpruned, lambda t: False):
+                        cur, goal_e, hi, unpruned, lambda moved, t: False):
                     dot = sum(f[v] * (n - c) for v, c, n in zip(edge, cur, new))
                     assert dot == t
                     child = list(start)
@@ -410,11 +410,30 @@ class TestDualBound:
         hi = (0, 1, 1, 0)
         every = {c for c, _ in _compositions(sum(cur), cur)} - {cur}
         out = [new for new, _, _ in _edge_successors(
-            cur, cur, hi, True, lambda t: False)]
+            cur, cur, hi, True, lambda moved, t: False)]
         assert len(out) == len(set(out)) and set(out) == every
         kept = {new for new, _, t in _edge_successors(
-            cur, cur, hi, True, lambda t: t == -1)}
+            cur, cur, hi, True, lambda moved, t: t == -1)}
         assert kept == {c for c in every if c[1] + c[2] - 2 != -1}
+
+    def test_stream_asks_dear_once_per_group(self, monkeypatch):
+        # an exhaustive stream tests each t group once, at moved = |t|;
+        # the structured family never asks
+        cur, goal, hi = (3, 0, 2, 1), (1, 2, 0, 3), (0, 1, 1, 0)
+        asked = []
+
+        def dear(moved, t):
+            asked.append((moved, t))
+            return False
+
+        list(_edge_successors(cur, goal, hi, True, dear))
+        ts = _t_groups(cur, hi, True)
+        assert asked == [(abs(t), t) for t in ts] and len(ts) > 1
+        monkeypatch.setattr(transport, "FULL_ENUM_LIMIT", 0)
+        asked.clear()
+        assert _t_groups(cur, hi, False) is None
+        assert list(_edge_successors(cur, goal, hi, False, dear))
+        assert asked == []
 
     @pytest.mark.parametrize("alpha,value", [
         (Fraction(1, 8), 0.5149524668774486),
@@ -457,7 +476,7 @@ class TestSuccessorTable:
         for cur, goal, hi, unpruned in self._keys(808, 150):
             M = sum(cur)
             full = list(_edge_successors(cur, goal, hi, unpruned,
-                                         lambda t: False))
+                                         lambda moved, t: False))
             k = len(cur)
             grouped = unpruned or math.comb(M + k - 1, k - 1) \
                 <= transport.FULL_ENUM_LIMIT
@@ -501,7 +520,8 @@ class TestSuccessorTable:
     def test_wide_values_fall_back_to_a_list(self):
         # packed ints past 63 bits are kept in a list, not an array
         cur, goal, hi = (2**20, 0, 3, 0), (0, 2**19, 0, 5), (0, 1, 1, 0)
-        full = list(_edge_successors(cur, goal, hi, False, lambda t: False))
+        full = list(_edge_successors(cur, goal, hi, False,
+                                     lambda moved, t: False))
         table = _SuccessorTable(cur, goal, hi, False)
         assert table.survivors(lambda m, t: False) == full
         assert isinstance(table.packed, list)
