@@ -239,7 +239,9 @@ def generate(family: str, n: int | None = None) -> Hypergraph:
 
     complete(n>=2), cycle(n>=2), path(n>=1 edges), ladder(n>=1 columns of
     rungs, 2*(n+1) vertices), grid9 (the 3x3 grid covered by four 2x2
-    hyperedges, with the center labeled ``x`` and the top-left ``y``).
+    hyperedges, with the center labeled ``x`` and the top-left ``y``; rows
+    bottom to top are v1 v2 v3, v4 x v6, y v8 v9), read from the packaged
+    ``data/grid9.hg``.
     """
     if family == "complete":
         if n is None or n < 2:

@@ -24,6 +24,7 @@ from hypercurv.errors import (
     NotSimple,
     UnknownVertex,
 )
+
 from conftest import random_hypergraph
 
 
