@@ -127,7 +127,7 @@ def bonnet_myers_bound(h: ConcaveCost, kappa, kind: str) -> int:
     warning.
     """
     kappa = _as_number(kappa)
-    if kappa <= 0:
+    if not kappa > 0:
         raise NonpositiveKappa(f"need kappa > 0, got {kappa}")
     if kind == "graph_lly":
         return int(math.floor(Fraction(2) / Fraction(kappa))) \
@@ -154,7 +154,7 @@ def vertex_count_bound(h: ConcaveCost, kappa, max_degree: int) -> int:
     """Vertex-count bound: 1 + sum_j max_degree^j * prod_i (1 - kappa*i/2)
     with j up to floor(2h'(1)/(h(1) kappa)); negative factors clamp to 0."""
     kappa = _as_number(kappa)
-    if kappa <= 0:
+    if not kappa > 0:
         raise NonpositiveKappa(f"need kappa > 0, got {kappa}")
     ratio = _slope_ratio(h)
     if isinstance(kappa, Fraction) and isinstance(ratio, Fraction):

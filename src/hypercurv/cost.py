@@ -45,9 +45,9 @@ class ConcaveCost:
       trunc_log_combo  min(a, t) + log(1 + max(t - a, 0))
       power            t**a with 0 < a < 1  (slope at 0 is infinite)
 
-    A tabulated cost interpolates sample points piecewise-linearly; its
-    derived constants come from one-sided difference quotients with
-    Richardson extrapolation.
+    A tabulated cost interpolates sample points piecewise-linearly, so its
+    one-sided slopes h'(0) and h'(1) are those of its first and last
+    segments.
     """
 
     def __init__(self, family: str, a=None, points=None):
@@ -76,7 +76,6 @@ class ConcaveCost:
         self.h1, self.hp0, self.hp1 = self._constants()
         if not self.h1 > 0:
             raise ValueError("h(1) must be positive")
-        self._hp_err = getattr(self, "_hp_err", 0.0)
 
     # -- evaluation ------------------------------------------------------------
 
@@ -137,25 +136,16 @@ class ConcaveCost:
             return float(a) + math.log(2 - float(a)), 1.0, 1.0 / (2 - float(a))
         if self.family == "power":
             return 1.0, math.inf, float(a)
-        return self._difference_constants()
-
-    def _difference_constants(self):
-        h1 = self.eval(1)
-        hp0, err0 = _richardson([self.eval(Fraction(1, 2 ** k)) * 2 ** k
-                                 for k in range(10, 21)])
-        hp1, err1 = _richardson([(h1 - self.eval(1 - Fraction(1, 2 ** k))) * 2 ** k
-                                 for k in range(10, 21)])
-        self._hp_err = max(err0, err1)
-        return h1, hp0, hp1
+        # piecewise linear, so the one-sided slopes at 0 and 1 are those of
+        # the end segments, each rounded once from its exact rational value
+        pts = self.points
+        hp0, hp1 = (float((Fraction(y1) - Fraction(y0)) / (x1 - x0))
+                    for (x0, y0), (x1, y1) in (pts[:2], pts[-2:]))
+        return self.eval(1), hp0, hp1
 
     def constants(self):
         """(h(1), h'(0), h'(1)); h'(0) may be math.inf."""
         return self.h1, self.hp0, self.hp1
-
-    @property
-    def derivative_error(self) -> float:
-        """Error estimate of the difference-quotient constants (0 for built-ins)."""
-        return self._hp_err
 
     @property
     def is_linear(self) -> bool:
@@ -241,17 +231,3 @@ class ConcaveCost:
         if self.family == "tabulated":
             return f"ConcaveCost(tabulated, {len(self.points)} points)"
         return f"ConcaveCost({self.family}, a={self.a})"
-
-
-def _richardson(seq):
-    """One-level Richardson extrapolation of halving-step quotients.
-
-    Returns (limit estimate, error estimate).  Uses only the tail of the
-    sequence: deeper triangles amplify noise once the quotients settle
-    (tabulated costs are piecewise linear near the endpoints).
-    """
-    last, prev = seq[-1], seq[-2]
-    if last == prev:
-        return last, abs(last - seq[-3]) if len(seq) > 2 else 0.0
-    est = 2 * last - prev
-    return est, abs(est - last)

@@ -136,30 +136,30 @@ class HllyDiagnostics:
     converged: bool
 
 
-def hlly(H: Hypergraph, h: ConcaveCost, x: str, y: str, grid=None,
-         **solver_opts):
+HLLY_GRID = tuple(1 - Fraction(1, 2 ** k) for k in range(3, 11))
+
+
+def hlly(H: Hypergraph, h: ConcaveCost, x: str, y: str, **solver_opts):
     """Estimate of liminf of orc_alpha_h/(1-alpha) as alpha -> 1.
 
     Returns (estimate, diagnostics): the estimate is the Aitken
-    extrapolation of the ratio sequence on the dyadic grid (default
-    alpha = 1 - 2^-k, k = 3..10); the diagnostics hold the grid, the
-    ratios, their solver statuses and a convergence flag.  The true limit
-    is only a liminf; the estimate is never asserted to equal it.
+    extrapolation of the ratio sequence on the fixed dyadic grid
+    HLLY_GRID, alpha = 1 - 2^-k for k = 3..10; the diagnostics hold the
+    grid, the ratios, their solver statuses and a convergence flag.  The
+    true limit is only a liminf; the estimate is never asserted to equal
+    it.
     """
-    if grid is None:
-        grid = [1 - Fraction(1, 2 ** k) for k in range(3, 11)]
     ratios = []
     statuses = []
-    for alpha in grid:
-        alpha = Fraction(alpha)
+    for alpha in HLLY_GRID:
         val, res = orc_alpha_h(H, h, x, y, alpha, details=True, **solver_opts)
         ratios.append(val / float(1 - alpha))
         statuses.append(res.optimality)
     est = _aitken(ratios)
     converged = (len(ratios) >= 2 and
                  abs(ratios[-1] - ratios[-2]) <= 1e-3 * max(1.0, abs(ratios[-1])))
-    diag = HllyDiagnostics(tuple(Fraction(a) for a in grid), tuple(ratios),
-                           tuple(statuses), converged)
+    diag = HllyDiagnostics(HLLY_GRID, tuple(ratios), tuple(statuses),
+                           converged)
     return est, diag
 
 
@@ -230,8 +230,8 @@ def catalog(family: str, n_or_d: int, h: ConcaveCost,
     if family == "cycle":
         if m < 2:
             raise OutOfCatalogRange("cycle graph needs n >= 2")
-        if m == 2:
-            return _complete_values(2, h, a)
+        if m <= 3:
+            return _complete_values(m, h, a)
         if m <= 5:
             return _small_cycle_values(m, h, a)
         return _large_cycle_values(h, a)

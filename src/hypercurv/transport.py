@@ -506,7 +506,7 @@ def _search(H, h, mu, nu, D, max_states, unpruned):
     nu.check_support(H)
     start = quantize(H, mu, D)
     goal = quantize(H, nu, D)
-    lower_units, f_start = w1_units(H, start, goal, D)
+    lower_units, f_start = w1_units(H, start, goal)
     h1 = h.h1
     lower = h1 * (lower_units / D)
     if start == goal:
@@ -546,7 +546,7 @@ def _search(H, h, mu, nu, D, max_states, unpruned):
         if state == goal:
             break
         if not evaluated:
-            true_units, pot = w1_units(H, state, goal, D)
+            true_units, pot = w1_units(H, state, goal)
             ft = g + env_of(true_units)
             if ft >= incumbent_g - tol:
                 continue

@@ -59,17 +59,17 @@ def _split(start_units, goal_units):
     return sup_ids, sup_amt, dem_ids, dem_amt
 
 
-def w1_units(H: Hypergraph, start_units, goal_units, denominator):
-    """(W1 * denominator, f) between two integer-quantized measures.
+def w1_units(H: Hypergraph, start_units, goal_units):
+    """(W1 * D, f) between two measures quantized to the grid 1/D.
 
     Both measures are integer vectors indexed by vertex id summing to the
-    same total; the first result is the exact integer transport cost.
+    same total D; the first result is the exact integer transport cost.
     `f` is an integer Kantorovich potential indexed by vertex id: the
     c-transform ``f[v] = min_j (d(v, j) - pot_t[j])`` of the kernel's sink
     potentials.  It is 1-Lipschitz in the hyperedge-hop metric and
     ``sum(f[v] * (start_units[v] - goal_units[v]))`` equals the cost, so
     by Kantorovich-Rubinstein duality ``sum(f * (xi - goal_units))`` is a
-    lower bound on ``W1 * denominator`` for every other measure xi.
+    lower bound on ``W1 * D`` for every other measure xi.
     """
     sup_ids, sup_amt, dem_ids, dem_amt = _split(start_units, goal_units)
     if not sup_ids:
@@ -106,9 +106,11 @@ def w1(H: Hypergraph, mu: ProbMeasure, nu: ProbMeasure):
     costs = [mat[i][j] for i in sup_ids for j in dem_ids]
     total, flows = kernels.transport_plan(sup_amt, dem_amt, costs,
                                           len(sup_ids), len(dem_ids))
+    # supply and demand vertices are disjoint and each (i, j) flows once,
+    # so no entry is written twice
     for i, j, f in flows:
         x, y = H.label(sup_ids[i]), H.label(dem_ids[j])
-        entries[(x, y)] = entries.get((x, y), Fraction(0)) + Fraction(f, D)
+        entries[(x, y)] = Fraction(f, D)
     return Fraction(total, D), Coupling(entries, mu, nu)
 
 

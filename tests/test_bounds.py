@@ -156,6 +156,9 @@ class TestBonnetMyers:
             bonnet_myers_bound(H_LOG, 0, "graph_lly")
         with pytest.raises(NonpositiveKappa):
             bonnet_myers_bound(H_LOG, Fraction(-1, 2), "hypergraph_hlly")
+        for kind in ("graph_lly", "hypergraph_hlly"):
+            with pytest.raises(NonpositiveKappa):
+                bonnet_myers_bound(H_LOG, math.nan, kind)
 
     def test_dominates_diameter_on_catalog(self):
         # where the closed-form limit is positive, the bound caps the diameter
@@ -190,6 +193,8 @@ class TestVertexCount:
     def test_nonpositive_kappa(self):
         with pytest.raises(NonpositiveKappa):
             vertex_count_bound(H_LIN, 0, 3)
+        with pytest.raises(NonpositiveKappa):
+            vertex_count_bound(H_LOG, math.nan, 3)
 
 
 class TestGammaSets:

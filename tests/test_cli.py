@@ -18,6 +18,7 @@ from hypercurv import (
     wh_heuristic,
 )
 from hypercurv.cli import main
+from hypercurv.errors import Hp1ZeroWarning
 
 LOG1 = '{"family":"log","a":"1"}'
 LIN1 = '{"family":"linear","a":"1"}'
@@ -182,6 +183,21 @@ class TestBounds:
                      "--n", "3", "--max-degree", "2"]) == 0
         out = capsys.readouterr().out
         assert "catalog-closed-form" in out and "diam <= 1" in out
+
+    def test_flat_end_table(self, capsys):
+        # h'(1) = 0 at a breakpoint 2^-25 below 1: the bound is vacuous
+        spec = json.dumps({"family": "tabulated", "points": [
+            [0, 0], [str(1 - Fraction(1, 2 ** 25)), 1], [1, 1]]})
+        with pytest.warns(Hp1ZeroWarning):
+            assert main(["bounds", "--h", spec, "--kappa", "1/2",
+                         "--max-degree", "3"]) == 0
+        assert "diam <= 0, |V| <= 1" in capsys.readouterr().out
+
+    def test_power_cycle_three(self, capsys):
+        # the 3-cycle is K3, whose limit needs no h'(0)
+        assert main(["bounds", "--h", '{"family":"power","a":"1/2"}',
+                     "--catalog", "cycle", "--n", "3"]) == 0
+        assert "diam <= 1" in capsys.readouterr().out
 
     def test_chained_from_hlly(self, tmp_path, capsys):
         p = tmp_path / "k3.hg"

@@ -6,8 +6,12 @@ from fractions import Fraction
 
 import pytest
 
-from hypercurv import ConcaveCost
-from hypercurv.errors import BadParams, LambdaOutOfRange, NotConcave
+from hypercurv import ConcaveCost, bonnet_myers_bound, vertex_count_bound
+from hypercurv.errors import (BadParams, Hp1ZeroWarning, LambdaOutOfRange,
+                              NotConcave)
+
+# a last segment 2^-25 wide and flat, so h'(1) = 0
+FLAT_END = [(0, 0.0), (1 - Fraction(1, 2 ** 25), 1.0), (1, 1.0)]
 
 
 class TestEval:
@@ -76,14 +80,30 @@ class TestConstants:
         assert lin.hp1 == lin.h1 == lin.hp0
 
     def test_tabulated_against_analytic(self):
-        # tabulate the log cost finely; difference quotients must recover
-        # its slopes within the reported error
+        # tabulate the log cost finely; the end segments' slopes are within
+        # a segment's width of its slopes
         pts = [(Fraction(k, 4096), math.log1p(k / 4096)) for k in range(4097)]
         h = ConcaveCost("tabulated", points=pts)
         assert h.h1 == pytest.approx(math.log(2), abs=1e-12)
         assert h.hp0 == pytest.approx(1.0, abs=1e-3)
         assert h.hp1 == pytest.approx(0.5, abs=1e-3)
-        assert h.derivative_error < 1e-2
+
+    def test_tabulated_slopes_are_end_segments(self):
+        # breakpoints 2^-25 from an end: the slopes there are exact
+        flat_end = ConcaveCost("tabulated", points=FLAT_END)
+        assert flat_end.hp1 == 0.0
+        assert flat_end.h1 == 1.0
+        steep_start = ConcaveCost("tabulated", points=[
+            (0, 0.0), (Fraction(1, 2 ** 25), 0.5), (1, 1.0)])
+        assert steep_start.hp0 == 16777216.0
+        assert steep_start.hp1 == pytest.approx(0.5, abs=1e-7)
+
+    def test_flat_end_table_bounds(self):
+        h = ConcaveCost("tabulated", points=FLAT_END)
+        with pytest.warns(Hp1ZeroWarning):
+            assert bonnet_myers_bound(h, Fraction(1, 2),
+                                      "hypergraph_hlly") == 0
+        assert vertex_count_bound(h, Fraction(1, 2), 3) == 1
 
     @pytest.mark.parametrize("family,kwargs,spec", [
         ("tabulated", {"points": [(0, 0.0), (1, 0.0)]},

@@ -252,6 +252,14 @@ class TestCatalog:
         k2 = catalog("complete", 2, H_LOG, a)
         assert c2 == k2
 
+    @pytest.mark.parametrize("h", [
+        H_LIN, H_LOG, H_TRUNC,
+        ConcaveCost("trunc_log_combo", a=Fraction(1, 2)),
+        ConcaveCost("power", a=Fraction(1, 2))])
+    def test_cycle_three_is_k3(self, h):
+        for a in (None, 0, Fraction(1, 4), Fraction(1, 2), Fraction(3, 4)):
+            assert catalog("cycle", 3, h, a) == catalog("complete", 3, h, a)
+
 
 class TestSolverVsCatalog:
     @pytest.mark.parametrize("family,sizes", [
@@ -355,11 +363,10 @@ class TestAdjacentInfimum:
 
     def test_hlly_min_is_adjacent_on_path(self):
         H = generate("path", 3)
-        grid = [1 - Fraction(1, 2 ** k) for k in range(3, 9)]
         vals = {}
         for a in range(H.n):
             for b in range(a + 1, H.n):
-                est, _ = hlly(H, H_LOG, H.label(a), H.label(b), grid=grid)
+                est, _ = hlly(H, H_LOG, H.label(a), H.label(b))
                 vals[(a, b)] = est
         overall = min(vals.values())
         adjacent = min(v for (a, b), v in vals.items()

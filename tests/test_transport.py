@@ -366,7 +366,7 @@ class TestDualBound:
 
     def test_potential_is_1_lipschitz_and_tight(self):
         for H, start, goal, D in self._instances(577, 40):
-            units, f = w1_units(H, start, goal, D)
+            units, f = w1_units(H, start, goal)
             mat = H.distance_matrix()
             for u in range(H.n):
                 for v in range(H.n):
@@ -384,8 +384,8 @@ class TestDualBound:
         # w1u - moved <= w1u + <f, delta> <= W1(child) for every successor,
         # exhaustive (grouped by t) and structured alike
         monkeypatch.setattr(transport, "FULL_ENUM_LIMIT", 0)
-        for H, start, goal, D in self._instances(578, 30):
-            w1u, f = w1_units(H, start, goal, D)
+        for H, start, goal, _ in self._instances(578, 30):
+            w1u, f = w1_units(H, start, goal)
             for edge in H.edges:
                 cur = tuple(start[v] for v in edge)
                 base = min(f[v] for v in edge)
@@ -400,7 +400,7 @@ class TestDualBound:
                     for v, n in zip(edge, new):
                         child[v] = n
                     assert w1u - moved <= w1u + t \
-                        <= w1_units(H, child, goal, D)[0]
+                        <= w1_units(H, child, goal)[0]
 
     def test_grouped_enumeration_is_complete(self):
         # skipping nothing, the t-grouped order yields every composition

@@ -127,7 +127,7 @@ class TestDuality:
             D = common_denominator([mu, nu])
             val, coup = w1(H, mu, nu)
             coup.check()
-            units, _ = w1_units(H, quantize(H, mu, D), quantize(H, nu, D), D)
+            units, _ = w1_units(H, quantize(H, mu, D), quantize(H, nu, D))
             assert val * D == units
 
 
