@@ -25,7 +25,10 @@ lie below any cost and the minimum is attained.
 The search prices successors by Kantorovich-Rubinstein duality: the exact
 W1 solve of an expanded state also yields a 1-Lipschitz potential f with
 <f, state - goal> = W1, so <f, child - goal> bounds a child's W1 from
-below with no further kernel call.
+below with no further kernel call.  Any potential of the same goal bounds
+every state so, which lets a popped state be priced out of the search by
+the potentials already seen (a bundle, the piecewise-linear minorant of
+Kelley's cutting-plane method, J. SIAM 1960) before its own W1 solve.
 """
 
 from __future__ import annotations
@@ -35,6 +38,7 @@ import heapq
 import itertools
 import json
 import math
+import operator
 from array import array
 from dataclasses import dataclass
 from fractions import Fraction
@@ -468,9 +472,13 @@ def wh_exact(H: Hypergraph, h: ConcaveCost, mu: ProbMeasure, nu: ProbMeasure,
     so h and any positive multiple of h run the same search.  The greedy
     construction of wh_heuristic seeds the incumbent so the search only
     explores strictly cheaper plans; when the goal is popped, or the
-    frontier drains without reaching it, the incumbent is optimal.  Once
-    more than max_states states are expanded the best plan found so far
-    is returned with optimality "heuristic-upper-bound".
+    frontier drains without reaching it, the incumbent is optimal, and
+    lower_bound is h(1) * W1.  Once more than max_states states are
+    expanded the best plan found so far is returned with optimality
+    "heuristic-upper-bound".  Every cheaper plan then passes an open
+    state (the one popped last, unexpanded, or one on the heap) whose key
+    bounds it from below, so lower_bound is the least open key, capped
+    by the incumbent, less the slack, and never below h(1) * W1.
     unpruned=True enumerates every successor of every hyperedge instead of
     the structured family (see _edge_successors).
 
@@ -494,6 +502,15 @@ def wh_exact(H: Hypergraph, h: ConcaveCost, mu: ProbMeasure, nu: ProbMeasure,
     pushed in generation order, each tested again against the incumbent
     of the moment, so the search pushes the same children in the same
     order as a plain stream.  Tables live inside one call.
+
+    A popped child is tested before its W1 solve against the bundle: the
+    distinct potentials of this call's solves, the one that last pruned
+    a state tried first.  Each is 1-Lipschitz, so b = <p, state - goal>
+    <= W1, and as the envelope is nondecreasing, g + envelope(b) reaching
+    the incumbent means the exact test prunes the state too; it is
+    dropped with no kernel call.  The bundle drops only what that test
+    drops, so expansions, values, plans and push order are those of a
+    search that solves W1 at every pop, with a subsequence of its solves.
     """
     return _search(H, h, mu, nu, common_denominator([mu, nu]), max_states,
                    unpruned)
@@ -534,6 +551,9 @@ def _search(H, h, mu, nu, D, max_states, unpruned):
     f0 = env_of(lower_units)
     heap = [(round(f0 / h1, 12), 0.0, next(counter), start, 0.0, True,
              lower_units, f_start)]
+    # the distinct potentials of this call's W1 solves, the one that last
+    # pruned a state first
+    bundle = [f_start]
     expanded = 0
     exhausted = False
 
@@ -546,7 +566,18 @@ def _search(H, h, mu, nu, D, max_states, unpruned):
         if state == goal:
             break
         if not evaluated:
+            # every potential is 1-Lipschitz, so <p, state - goal> <= W1
+            diff = [s - q for s, q in zip(state, goal)]
+            cut = next((i for i, p in enumerate(bundle)
+                        if g + env_of(sum(map(operator.mul, p, diff)))
+                        >= incumbent_g - tol), None)
+            if cut is not None:
+                if cut:
+                    bundle.insert(0, bundle.pop(cut))
+                continue
             true_units, pot = w1_units(H, state, goal)
+            if pot not in bundle:
+                bundle.append(pot)
             ft = g + env_of(true_units)
             if ft >= incumbent_g - tol:
                 continue
@@ -558,6 +589,11 @@ def _search(H, h, mu, nu, D, max_states, unpruned):
         closed.add(state)
         expanded += 1
         if expanded > max_states:
+            # Every plan cheaper than the incumbent passes an open state:
+            # this one, unexpanded, or one on the heap.  Keys are in units
+            # of h(1) and bound the plans through their states from below.
+            open_key = min(f, heap[0][0]) if heap else f
+            lower = max(lower, min(incumbent_g, h1 * open_key) - tol)
             exhausted = True
             break
 

@@ -292,6 +292,36 @@ class TestExact:
         assert plan_cost(H, H_LOG, res.plan) == pytest.approx(res.value,
                                                               abs=1e-12)
         assert res.value >= res.lower_bound - 1e-12
+        # the open states' keys certify more than h(1) * W1, and no more
+        # than the optimum (TestDualBound.test_grid9_values_pinned)
+        assert H_LOG.h1 * float(w1(H, mu, nu)[0]) < res.lower_bound \
+            <= 0.6970609473203428
+
+    def test_budget_lower_bound_below_optimum(self):
+        # grid9 x,y at 1/4 is exact after 2,224 expansions; every smaller
+        # budget certifies a bound between h(1) * W1 and the optimum.  The
+        # greedy seed is optimal here, so the pinned values, the least
+        # open keys, show that the bound does not just trail the incumbent.
+        H = generate("grid9")
+        mu = lazy_random_walk(H, "x", Fraction(1, 4))
+        nu = lazy_random_walk(H, "y", Fraction(1, 4))
+        optimum = 0.5784946823875035
+        floor = H_LOG.h1 * float(w1(H, mu, nu)[0])
+        pinned = {5: 0.515696553999773, 500: 0.5668440651671586,
+                  1500: 0.5757207555043686}
+        bounds = []
+        for budget in (1, 5, 50, 500, 1500, 2223):
+            res = wh_exact(H, H_LOG, mu, nu, max_states=budget)
+            assert res.optimality == "heuristic-upper-bound"
+            assert floor < res.lower_bound <= optimum <= res.value + 1e-12
+            if budget in pinned:
+                assert res.lower_bound == pytest.approx(pinned[budget],
+                                                        abs=1e-12)
+            bounds.append(res.lower_bound)
+        assert bounds == sorted(bounds)
+        res = wh_exact(H, H_LOG, mu, nu, max_states=2224)
+        assert res.optimality == "exact"
+        assert res.lower_bound == floor
 
     def test_budget_exhaustion_after_goal_pushed(self, monkeypatch):
         # The step into the goal is tight for the envelope bound (inside a
@@ -434,6 +464,47 @@ class TestDualBound:
         assert _t_groups(cur, hi, False) is None
         assert list(_edge_successors(cur, goal, hi, False, dear))
         assert asked == []
+
+    @staticmethod
+    def _units(rng, n, D):
+        """A random measure on n vertices in units of 1/D."""
+        out = [0] * n
+        for _ in range(D):
+            out[rng.randrange(n)] += 1
+        return out
+
+    def test_every_potential_bounds_w1(self):
+        # the search's bundle test: a potential taken at any state with the
+        # same goal is 1-Lipschitz, so <p, xi - goal> <= W1(xi) for all xi
+        rng = random.Random(579)
+        for H, start, goal, D in self._instances(579, 30):
+            pots = [w1_units(H, start, goal)[1]]
+            pots += [w1_units(H, self._units(rng, H.n, D), goal)[1]
+                     for _ in range(3)]
+            for _ in range(8):
+                xi = self._units(rng, H.n, D)
+                units = w1_units(H, xi, goal)[0]
+                for p in pots:
+                    assert sum(pv * (x - g)
+                               for pv, x, g in zip(p, xi, goal)) <= units
+
+    def test_grid9_kernel_calls_pinned(self, monkeypatch):
+        # a popped state that a bundle potential prunes costs no W1 solve:
+        # 2,226 solves where pricing every pop made 13,367
+        calls = []
+
+        def counted(H, start, goal):
+            calls.append(start)
+            return w1_units(H, start, goal)
+
+        monkeypatch.setattr(transport, "w1_units", counted)
+        H = generate("grid9")
+        mu = lazy_random_walk(H, "x", Fraction(1, 4))
+        nu = lazy_random_walk(H, "y", Fraction(1, 4))
+        res = wh_exact(H, H_LOG, mu, nu)
+        assert res.optimality == "exact"
+        assert res.states_expanded == 2224
+        assert len(calls) == 2226
 
     @pytest.mark.parametrize("alpha,value", [
         (Fraction(1, 8), 0.5149524668774486),
