@@ -33,6 +33,7 @@ Kelley's cutting-plane method, J. SIAM 1960) before its own W1 solve.
 
 from __future__ import annotations
 
+import bisect
 import functools
 import heapq
 import itertools
@@ -52,7 +53,7 @@ from .errors import (
 )
 from .hypergraph import Hypergraph
 from .measure import ProbMeasure, common_denominator, quantize
-from .wasserstein import Coupling, w1, w1_units
+from .wasserstein import Coupling, w1, w1_flows, w1_units
 
 COST_TOL = 1e-12
 # wh_exact enumerates a hyperedge of three or more vertices exhaustively
@@ -227,20 +228,36 @@ def _delta_to_moves(labels, delta_units, D):
     return tuple(moves)
 
 
-def _compositions(total, ref):
-    """Every len(ref)-tuple of non-negative integers summing to total, each
-    with the mass it takes from ref: the sum of max(r - c, 0)."""
-    if len(ref) <= 1:
-        if ref:
-            yield (total,), (ref[0] - total if total < ref[0] else 0)
-        elif total == 0:
+def _compositions(total, ref, cap):
+    """Every len(ref)-tuple of non-negative integers summing to total that
+    takes at most cap from ref, each with what it takes: the sum of
+    max(r - c, 0)."""
+    if not ref:
+        if total == 0 <= cap:
             yield (), 0
         return
     r0, rest_ref = ref[0], ref[1:]
-    for first in range(total + 1):
+    if not rest_ref:
+        took = r0 - total if total < r0 else 0
+        if took <= cap:
+            yield (total,), took
+        return
+    rest = sum(rest_ref)
+    if r0 + rest - total > cap:
+        return  # every composition takes at least sum(ref) - total
+    # the rest gives up at least rest - (total - first), so a first value
+    # outside [r0 - cap, total - rest + cap] takes more than cap
+    for first in range(max(r0 - cap, 0), min(total - rest + cap, total) + 1):
         took = r0 - first if first < r0 else 0
-        for rest, took_rest in _compositions(total - first, rest_ref):
-            yield (first,) + rest, took + took_rest
+        for tail, took_rest in _compositions(total - first, rest_ref,
+                                             cap - took):
+            yield (first,) + tail, took + took_rest
+
+
+def _most_taken(total, ref):
+    """The most any composition of total over ref takes from ref: all of
+    it but what stays on the vertex holding least, total at most."""
+    return sum(ref) - min(min(ref), total) if ref else 0
 
 
 def _t_groups(cur, hi, unpruned):
@@ -258,50 +275,85 @@ def _t_groups(cur, hi, unpruned):
     return None
 
 
-def _edge_successors(cur, goal, hi, unpruned, dear):
-    """New value tuples for one edge, with the mass moved and its t.
+def _open_groups(ts, dear):
+    """Indices, ascending, of the groups of ts (ascending t) with
+    dear(|t|, t) false; a group whose cheapest possible child, which moves
+    |t|, is dear holds no child that is not.
 
-    `hi` flags the edge's high-potential vertices (potential one above the
-    edge minimum) and t = sum(hi * (new - cur)) is the net mass a
-    successor moves onto them; the dual bound of a successor depends on t
-    alone, and ``moved >= |t|``.
+    dear is nondecreasing in both arguments.  A run of negative t has
+    children that move at least |last t| with t at least the first t, so
+    the run is skipped whole when dear(|last t|, first t) holds and
+    bisected otherwise; from t >= 0 on, dear(t, t) is nondecreasing, so
+    the first dear group ends the scan.
+    """
+    found = []
 
-    2-vertex edges (complete on graphs), edges whose composition count is
-    at most FULL_ENUM_LIMIT, and every edge under `unpruned` are enumerated
-    exhaustively, grouped by t so that a whole group is dropped when
-    `dear(|t|, t)` is true, the test of its cheapest possible child; an
-    edge whose potentials are all equal has the one group t = 0.  Larger
-    hyperedges use a structured family: sources drain to 0 or to their
-    goal value, targets fill to their goal value, one vertex absorbs the
-    balance.  That family contains every step of the worked optimal plans;
-    the unpruned flag restores ground truth.  It is generated in its own
-    order, not by t, and `dear` is not consulted.  Both yield moved and t
-    as they build each tuple.  _t_groups tells the two apart.
+    def scan(lo, hi):
+        if dear(-ts[hi - 1], ts[lo]):
+            return
+        if hi - lo == 1:
+            found.append(lo)
+            return
+        mid = (lo + hi) // 2
+        scan(lo, mid)
+        scan(mid, hi)
+
+    zero = bisect.bisect_left(ts, 0)
+    if zero:
+        scan(0, zero)
+    for i in range(zero, len(ts)):
+        if dear(ts[i], ts[i]):
+            break
+        found.append(i)
+    return found
+
+
+def _exhaustive(cur, hi, ts, dear):
+    """(new values, moved, t) of the compositions of cur's mass but cur
+    itself that dear keeps, in the t groups ts, group by group and each
+    group in the order of _compositions.
+
+    Each group of ts has dear(|t|, t) false (see _open_groups) and dear
+    is nondecreasing in moved, so group t keeps the children that move at
+    most its cap: the largest moved in [|t|, the most the group can move]
+    that dear(moved, t) keeps, found by bisection.
     """
     k = len(cur)
-    ts = _t_groups(cur, hi, unpruned)
-    if ts is not None:
-        high = [i for i in range(k) if hi[i]]
-        low = [i for i in range(k) if not hi[i]]
-        cur_high = [cur[i] for i in high]
-        cur_low = [cur[i] for i in low]
-        on_high = sum(cur_high)
-        on_low = sum(cur_low)
-        order = high + low
-        place = [order.index(i) for i in range(k)]
-        for t in ts:
-            if dear(abs(t), t):
-                continue
-            for top, took_top in _compositions(on_high + t, cur_high):
-                for bottom, took_bottom in _compositions(on_low - t, cur_low):
-                    moved = took_top + took_bottom
-                    # nothing taken means nothing moved: the current values
-                    if moved:
-                        stacked = top + bottom
-                        yield tuple(map(stacked.__getitem__, place)), moved, t
-        return
+    high = [i for i in range(k) if hi[i]]
+    low = [i for i in range(k) if not hi[i]]
+    cur_high = tuple([cur[i] for i in high])
+    cur_low = tuple([cur[i] for i in low])
+    on_high, on_low = sum(cur_high), sum(cur_low)
+    order = high + low
+    place = [order.index(i) for i in range(k)]
+    for t in ts:
+        cap = (_most_taken(on_high + t, cur_high)
+               + _most_taken(on_low - t, cur_low))
+        kept = abs(t)
+        while kept < cap:
+            mid = (kept + cap + 1) // 2
+            if dear(mid, t):
+                cap = mid - 1
+            else:
+                kept = mid
+        # the bottom gives up at least max(t, 0)
+        for top, took_top in _compositions(on_high + t, cur_high,
+                                           cap - max(t, 0)):
+            for bottom, took_bottom in _compositions(on_low - t, cur_low,
+                                                     cap - took_top):
+                moved = took_top + took_bottom
+                # nothing taken means nothing moved: the current values
+                if moved:
+                    stacked = top + bottom
+                    yield tuple(map(stacked.__getitem__, place)), moved, t
 
+
+def _structured(cur, goal, hi, dear):
+    """(new values, moved, t) of the structured family (see
+    _edge_successors) that dear, nondecreasing in both arguments, keeps,
+    in generation order, each tuple once."""
     seen = set()
+    k = len(cur)
     idx = range(k)
     pos = [i for i in idx if cur[i] > 0]
     deficits = [i for i in idx if goal[i] > cur[i]]
@@ -309,7 +361,8 @@ def _edge_successors(cur, goal, hi, unpruned, dear):
     fill_t = [hi[i] * (goal[i] - cur[i]) for i in idx]
     # batching moves: a source set drains to zero or to its goal value; the
     # freed mass fills chosen targets exactly to goal, any remainder piles
-    # on one residual vertex
+    # on one residual vertex.  A child's moved and t are fixed by its
+    # values, so a dear child is dear wherever it recurs.
     for r in range(1, len(pos) + 1):
         for S in itertools.combinations(pos, r):
             opts = []
@@ -325,6 +378,10 @@ def _edge_successors(cur, goal, hi, unpruned, dear):
                     continue
                 t_drain = sum(hi[s] * (dv - cur[s])
                               for s, dv in zip(S, drains))
+                # every child of the batch moves freed and fills or piles
+                # only onto others, so its t is at least t_drain
+                if dear(freed, t_drain):
+                    continue
                 for nfill in range(len(fill_cand) + 1):
                     for T in itertools.combinations(fill_cand, nfill):
                         need = sum(goal[t] - cur[t] for t in T)
@@ -337,6 +394,10 @@ def _edge_successors(cur, goal, hi, unpruned, dear):
                         for resid in residuals:
                             if rest == 0 and not T:
                                 continue
+                            t_child = t_fill + (
+                                0 if resid is None else hi[resid] * rest)
+                            if dear(freed, t_child):
+                                continue
                             new = list(cur)
                             for s, dv in zip(S, drains):
                                 new[s] = dv
@@ -347,8 +408,7 @@ def _edge_successors(cur, goal, hi, unpruned, dear):
                             tup = tuple(new)
                             if tup not in seen:
                                 seen.add(tup)
-                                yield tup, freed, t_fill + (
-                                    0 if resid is None else hi[resid] * rest)
+                                yield tup, freed, t_child
     # fan-out: one source fills targets exactly to goal, keeping the rest
     for s in pos:
         cand = [t for t in deficits if t != s]
@@ -356,6 +416,9 @@ def _edge_successors(cur, goal, hi, unpruned, dear):
             for T in itertools.combinations(cand, r):
                 need = sum(goal[t] - cur[t] for t in T)
                 if 0 < need <= cur[s]:
+                    t_child = sum(fill_t[t] for t in T) - hi[s] * need
+                    if dear(need, t_child):
+                        continue
                     new = list(cur)
                     for t in T:
                         new[t] = goal[t]
@@ -363,8 +426,45 @@ def _edge_successors(cur, goal, hi, unpruned, dear):
                     tup = tuple(new)
                     if tup not in seen:
                         seen.add(tup)
-                        yield tup, need, (sum(fill_t[t] for t in T)
-                                          - hi[s] * need)
+                        yield tup, need, t_child
+
+
+def _never(moved, t):
+    return False
+
+
+def _edge_successors(cur, goal, hi, unpruned, dear):
+    """New value tuples for one edge, with the mass moved and its t, of
+    every successor that dear(moved, t) keeps.
+
+    `hi` flags the edge's high-potential vertices (potential one above the
+    edge minimum) and t = sum(hi * (new - cur)) is the net mass a
+    successor moves onto them; the dual bound of a successor depends on t
+    alone, and ``moved >= |t|``.  `dear` must be nondecreasing in both
+    arguments, as the search's test is: it adds the step price of moved
+    to the envelope of W1 + t, and both are nondecreasing.  Each child is
+    then dropped exactly when dear drops it, and whole ranges of children
+    are dropped untried.
+
+    2-vertex edges (complete on graphs), edges whose composition count is
+    at most FULL_ENUM_LIMIT, and every edge under `unpruned` are enumerated
+    exhaustively, grouped by t in ascending order (see _exhaustive): only
+    the groups _open_groups keeps are enumerated, and each only up to its
+    cap on moved.  An edge whose potentials are all equal has the one
+    group t = 0.  Larger hyperedges use a structured family (see
+    _structured): sources drain to 0 or to their goal value, targets fill
+    to their goal value, one vertex absorbs the balance.  That family
+    contains every step of the worked optimal plans; the unpruned flag
+    restores ground truth.  It is generated in its own order, not by t;
+    a batch of sources is dropped when its least t is dear, and each
+    child is tested before its tuple is built.  _t_groups tells the two
+    apart.
+    """
+    ts = _t_groups(cur, hi, unpruned)
+    if ts is None:
+        return _structured(cur, goal, hi, dear)
+    return _exhaustive(cur, hi, [ts[i] for i in _open_groups(ts, dear)],
+                       dear)
 
 
 class _SuccessorTable:
@@ -375,18 +475,19 @@ class _SuccessorTable:
     significant field first: moved, generation order, new values.  The
     children of a t group form one sorted run, so a run is ordered by
     moved, which orders it by h(moved) as h is nondecreasing, and then by
-    generation.  The groups of the exhaustive enumeration are built when a
-    visit first needs them, those one visit needs in one pass; the
-    structured family, which has no t order, is built whole at once.  The
-    runs share one array('q'), a list when an int needs more than 63 bits,
-    so a child costs about 8 bytes and a group 24.
+    generation.  The groups are kept in ascending t, so _open_groups
+    applies to the structured family as to the exhaustive enumeration.
+    The exhaustive groups are built when a visit first needs them, those
+    one visit needs in one pass; the structured family is built whole at
+    once.  The runs share one array('q'), a list when an int needs more
+    than 63 bits, so a child costs about 8 bytes and a group 24.
     """
 
-    __slots__ = ("key", "unpruned", "grouped", "ts", "spans", "packed",
+    __slots__ = ("key", "grouped", "ts", "spans", "packed",
                  "M", "k", "vbits", "ibits", "lbits")
 
     def __init__(self, cur, goal, hi, unpruned):
-        self.key, self.unpruned = (cur, goal, hi), unpruned
+        self.key = (cur, goal, hi)
         k, M = self.k, self.M = len(cur), sum(cur)
         self.vbits = max(M, 1).bit_length()
         # the order of a child: (t + M, index in its pass) when grouped,
@@ -397,20 +498,19 @@ class _SuccessorTable:
         self.packed = [] if wide else array("q")
         ts = _t_groups(cur, hi, unpruned)
         self.grouped = ts is not None
-        runs = {} if self.grouped else self._runs(None)
+        runs = {} if self.grouped else self._runs(
+            _structured(cur, goal, hi, _never))
         # group ts[i] is packed[spans[2i]:spans[2i + 1]], or unbuilt at -1
-        self.ts = array("q", runs if ts is None else ts)
+        self.ts = array("q", sorted(runs) if ts is None else ts)
         self.spans = array("q", [-1, -1]) * len(self.ts)
         if not self.grouped:
             self._store(range(len(self.ts)), runs)
 
-    def _runs(self, dear):
-        """t -> packed children, unsorted, of the groups dear(|t|, t)
-        keeps."""
+    def _runs(self, children):
+        """t -> packed children, unsorted."""
         vbits, lbits, ibits, M = self.vbits, self.lbits, self.ibits, self.M
         runs = {}
-        for n, (new, moved, t) in enumerate(
-                _edge_successors(*self.key, self.unpruned, dear)):
+        for n, (new, moved, t) in enumerate(children):
             low = (t + M) << ibits | n if self.grouped else n
             for v in reversed(new):
                 low = low << vbits | v
@@ -431,20 +531,24 @@ class _SuccessorTable:
 
     def survivors(self, dear):
         """(new values, moved, t), in generation order, of every child that
-        comes before the first child of its t group `dear(moved, t)` rejects.
+        `dear(moved, t)` keeps.
 
-        `dear` must be nondecreasing in moved.  As moved >= |t|, a group
-        that dear(|t|, t) rejects holds no survivor; it is not built.
+        `dear` must be nondecreasing in both arguments, as the search's
+        test is (its step prices and envelope are nondecreasing).  Only
+        the groups _open_groups keeps are built and walked, and the walk
+        of a group, in nondecreasing moved, stops at its first dear child.
         """
         packed, spans, lbits, ts = self.packed, self.spans, self.lbits, self.ts
-        need = [i for i, t in enumerate(ts)
-                if spans[2 * i] < 0 and not dear(abs(t), t)]
+        groups = _open_groups(ts, dear)
+        need = [i for i in groups if spans[2 * i] < 0]
         if need:
-            wanted = {ts[i] for i in need}
-            self._store(need, self._runs(lambda moved, t: t not in wanted))
+            cur, _goal, hi = self.key
+            self._store(need, self._runs(
+                _exhaustive(cur, hi, [ts[i] for i in need], _never)))
         lmask = (1 << lbits) - 1
         found = []
-        for i, t in enumerate(ts):
+        for i in groups:
+            t = ts[i]
             for j in range(spans[2 * i], spans[2 * i + 1]):
                 moved = packed[j] >> lbits
                 if dear(moved, t):
@@ -490,18 +594,23 @@ def wh_exact(H: Hypergraph, h: ConcaveCost, mu: ProbMeasure, nu: ProbMeasure,
     it is popped.  f takes two adjacent values on a hyperedge, so
     <f, delta> = t, the net mass moved onto the higher vertices, and
     moved >= |t|.  One test prunes: a child is too dear once
-    g + h(moved) + envelope(max(W1 + t, 0)) reaches the incumbent, and
-    exhaustive enumeration skips a whole t group when its cheapest
-    possible child, which moves |t|, is too dear.
+    dear(moved, t) = g + h(moved) + envelope(max(W1 + t, 0)) reaches the
+    incumbent.  The step prices h(m / D) and the envelope are
+    nondecreasing, so dear is nondecreasing in both moved and t, and the
+    successor enumeration prunes inside itself on that contract: it skips
+    a whole range of t groups whose cheapest possible child is too dear,
+    caps the moved mass inside an open group, and drops a batch of the
+    structured family by its least t.  It yields exactly the children
+    that dear keeps.
 
     The first visit of a key (an edge's local values, local goal and
     potential pattern) streams its successors so.  Every later visit
-    walks the key's _SuccessorTable instead: each t group is sorted by
-    moved, and its walk stops at the first child that is too dear, so the
-    structured family is skipped by t group too.  The survivors are
-    pushed in generation order, each tested again against the incumbent
-    of the moment, so the search pushes the same children in the same
-    order as a plain stream.  Tables live inside one call.
+    walks the key's _SuccessorTable instead: the same range skip picks
+    its open t groups, each sorted by moved, and a group's walk stops at
+    its first child that is too dear.  The survivors are pushed in
+    generation order, each tested again against the incumbent of the
+    moment, so the search pushes the same children in the same order as
+    a plain stream.  Tables live inside one call.
 
     A popped child is tested before its W1 solve against the bundle: the
     distinct potentials of this call's solves, the one that last pruned
@@ -702,30 +811,30 @@ def wh_heuristic(H: Hypergraph, h: ConcaveCost, mu: ProbMeasure,
                  nu: ProbMeasure) -> WhResult:
     """Upper-bound plan: route the parcels of a W1-optimal coupling along
     shortest hyperedge paths, batch hops that share a hyperedge, then merge
-    steps greedily while the cost strictly drops."""
-    val, coupling = w1(H, mu, nu)
-    lower = h.h1 * float(val)
-    if not any(x != y for (x, y) in coupling.entries):
+    steps greedily while the cost strictly drops.  The plan is built and
+    priced in units of 1/D, D = lcm(endpoint denominators), by the step
+    prices h(m / D); its value is its plan_cost."""
+    mu.check_support(H)
+    nu.check_support(H)
+    D = common_denominator([mu, nu])
+    start = quantize(H, mu, D)
+    total, flows = w1_flows(H, start, quantize(H, nu, D))
+    lower = h.h1 * float(Fraction(total, D))
+    if not flows:
         plan = TransportPlan(mu, nu, ())
-        return WhResult(0.0, plan, "heuristic-upper-bound", lower, 0,
-                        common_denominator([mu, nu]))
+        return WhResult(0.0, plan, "heuristic-upper-bound", lower, 0, D)
 
     trees = {}
     pending = []  # per parcel: list of hops (from_id, to_id, edge)
     masses = []
-    for (x, y), p in sorted(coupling.entries.items(),
-                            key=lambda kv: (H.vertex_id(kv[0][0]),
-                                            H.vertex_id(kv[0][1]))):
-        if x == y:
-            continue
-        xid, yid = H.vertex_id(x), H.vertex_id(y)
-        if xid not in trees:
-            trees[xid] = _shortest_hops(H, xid)
-        pending.append(_parcel_path(H, xid, yid, trees[xid]))
-        masses.append(p)
+    for x, y, units in flows:
+        if x not in trees:
+            trees[x] = _shortest_hops(H, x)
+        pending.append(_parcel_path(H, x, y, trees[x]))
+        masses.append(units)
 
     pos = [0] * len(pending)
-    steps = []
+    steps = []  # (edge, moves): moves are (from, to, units), sorted
     while True:
         by_edge = {}
         for i, path in enumerate(pending):
@@ -739,49 +848,66 @@ def wh_heuristic(H: Hypergraph, h: ConcaveCost, mu: ProbMeasure,
         for i in by_edge[k]:
             a, b, _ = pending[i][pos[i]]
             key = (H.label(a), H.label(b))
-            combined[key] = combined.get(key, Fraction(0)) + masses[i]
+            combined[key] = combined.get(key, 0) + masses[i]
             pos[i] += 1
-        moves = tuple((a, b, m) for (a, b), m in sorted(combined.items()))
-        steps.append(TransportStep(k, moves))
+        steps.append((k, tuple((a, b, m)
+                               for (a, b), m in sorted(combined.items()))))
 
-    plan, value = _merge_pass(H, h, TransportPlan(mu, nu, tuple(steps)))
-    return WhResult(value, plan, "heuristic-upper-bound", lower, 0,
-                    common_denominator([mu, nu]))
+    holdings = {H.label(v): u for v, u in enumerate(start) if u}
+    steps, value = _merge_pass(holdings, steps, _step_prices(h, D),
+                               COST_TOL * h.h1)
+    plan = TransportPlan(mu, nu, tuple(
+        TransportStep(k, tuple((a, b, Fraction(m, D)) for a, b, m in moves))
+        for k, moves in steps))
+    return WhResult(value, plan, "heuristic-upper-bound", lower, 0, D)
 
 
-def _merge_pass(H, h, plan):
+def _steps_cost(start, steps, price):
+    """plan_cost of (edge, moves) steps in grid units from the holdings
+    start (label -> units), or None once a vertex sends more than it
+    holds."""
+    cur = dict(start)
+    total = 0.0
+    for _edge, moves in steps:
+        sent, net = {}, {}
+        for a, b, m in moves:
+            sent[a] = sent.get(a, 0) + m
+            net[a] = net.get(a, 0) - m
+            net[b] = net.get(b, 0) + m
+        if any(m > cur.get(a, 0) for a, m in sent.items()):
+            return None
+        for v, d in net.items():
+            cur[v] = cur.get(v, 0) + d
+        total += price(sum([d for d in net.values() if d > 0]))
+    return total
+
+
+def _merge_pass(start, steps, price, tol):
     """Fold one step into another on the same hyperedge whenever the plan
-    stays feasible and strictly cheaper; repeat to a fixed point.  Returns
-    the plan and its plan_cost."""
-    best_cost = plan_cost(H, h, plan)
+    stays feasible and cheaper by more than tol; repeat to a fixed point.
+    Returns the steps and their cost (see _steps_cost)."""
+    best_cost = _steps_cost(start, steps, price)
     improved = True
     while improved:
         improved = False
-        steps = list(plan.steps)
         for i in range(len(steps)):
             for j in range(len(steps)):
-                if i == j or steps[i].edge != steps[j].edge:
+                if i == j or steps[i][0] != steps[j][0]:
                     continue
                 merged = {}
-                for a, b, m in steps[j].moves + steps[i].moves:
-                    merged[(a, b)] = merged.get((a, b), Fraction(0)) + m
-                new_j = TransportStep(steps[j].edge,
-                                      tuple((a, b, m) for (a, b), m
-                                            in sorted(merged.items()) if m > 0))
+                for a, b, m in steps[j][1] + steps[i][1]:
+                    merged[(a, b)] = merged.get((a, b), 0) + m
+                new_j = (steps[j][0], tuple((a, b, m) for (a, b), m
+                                            in sorted(merged.items())))
                 cand = [new_j if n == j else s
                         for n, s in enumerate(steps) if n != i]
-                cand_plan = TransportPlan(plan.start, plan.end, tuple(cand))
-                try:
-                    c = plan_cost(H, h, cand_plan)
-                except (StepLeavesHyperedge, NegativeIntermediateMass,
-                        EndpointMismatch):
-                    continue
-                if c < best_cost - COST_TOL * h.h1:
-                    plan, best_cost, improved = cand_plan, c, True
+                c = _steps_cost(start, cand, price)
+                if c is not None and c < best_cost - tol:
+                    steps, best_cost, improved = cand, c, True
                     break
             if improved:
                 break
-    return plan, best_cost
+    return steps, best_cost
 
 
 # ---------------------------------------------------------------------------

@@ -83,6 +83,23 @@ def w1_units(H: Hypergraph, start_units, goal_units):
     return total, f
 
 
+def w1_flows(H: Hypergraph, start_units, goal_units):
+    """(W1 * D, flows) between two measures quantized to the grid 1/D.
+
+    `flows` holds the off-diagonal entries (x id, y id, units) of an
+    optimal coupling, ascending by (x, y); the mass both measures share
+    stays in place and is not listed.
+    """
+    sup_ids, sup_amt, dem_ids, dem_amt = _split(start_units, goal_units)
+    if not sup_ids:
+        return 0, []
+    mat = H.distance_matrix()
+    costs = [mat[i][j] for i in sup_ids for j in dem_ids]
+    total, flows = kernels.transport_plan(sup_amt, dem_amt, costs,
+                                          len(sup_ids), len(dem_ids))
+    return total, [(sup_ids[i], dem_ids[j], f) for i, j, f in flows]
+
+
 def w1(H: Hypergraph, mu: ProbMeasure, nu: ProbMeasure):
     """Exact (value, optimal coupling).
 
@@ -98,19 +115,11 @@ def w1(H: Hypergraph, mu: ProbMeasure, nu: ProbMeasure):
         if q > 0:
             entries[(v, v)] = min(p, q)
     D = common_denominator([mu, nu])
-    sup_ids, sup_amt, dem_ids, dem_amt = _split(quantize(H, mu, D),
-                                                quantize(H, nu, D))
-    if not sup_ids:
-        return Fraction(0), Coupling(entries, mu, nu)
-    mat = H.distance_matrix()
-    costs = [mat[i][j] for i in sup_ids for j in dem_ids]
-    total, flows = kernels.transport_plan(sup_amt, dem_amt, costs,
-                                          len(sup_ids), len(dem_ids))
-    # supply and demand vertices are disjoint and each (i, j) flows once,
+    total, flows = w1_flows(H, quantize(H, mu, D), quantize(H, nu, D))
+    # supply and demand vertices are disjoint and each pair flows once,
     # so no entry is written twice
-    for i, j, f in flows:
-        x, y = H.label(sup_ids[i]), H.label(dem_ids[j])
-        entries[(x, y)] = Fraction(f, D)
+    for x, y, f in flows:
+        entries[(H.label(x), H.label(y))] = Fraction(f, D)
     return Fraction(total, D), Coupling(entries, mu, nu)
 
 

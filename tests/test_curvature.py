@@ -199,6 +199,25 @@ class TestHlly:
         assert est == pytest.approx((0.5 - 1.0) / math.log(2), rel=1e-3)
         assert est == pytest.approx(-0.721348, abs=1e-4)
 
+    def test_complete_three_work_pinned(self, monkeypatch):
+        # a range of t groups whose cheapest child is too dear is skipped
+        # whole, so the eight solves (D up to 2,048) evaluate h 327 times,
+        # where testing every t group on its own took 4,080
+        h = ConcaveCost("log", a=1)  # its shape check evaluates h too
+        calls = []
+        plain = ConcaveCost.eval
+
+        def counted(cost, lam):
+            calls.append(lam)
+            return plain(cost, lam)
+
+        monkeypatch.setattr(ConcaveCost, "eval", counted)
+        H, x, y = catalog_instance("complete", 3)
+        est, diag = hlly(H, h, x, y)
+        assert repr(est) == "1.0820220550146913"
+        assert set(diag.statuses) == {"exact"}
+        assert len(calls) == 327
+
     def test_strictly_concave_h_is_negative_on_interior_line(self):
         H, x, y = catalog_instance("line_both_next", 1)
         for h in (H_LOG, H_TRUNC):
