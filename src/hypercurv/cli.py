@@ -33,7 +33,7 @@ from .errors import BadParams, HypercurvError
 from .hypergraph import Hypergraph, graph_distance, parse_hypergraph
 from .measure import ProbMeasure, lazy_random_walk
 from .transport import plan_cost, wh_exact, wh_heuristic
-from .wasserstein import w1
+from .wasserstein import w1, walk_w1
 
 CSV_COLUMNS = ["x", "y", "alpha", "d", "w1", "wh", "wh_status", "kappa", "kappa_h"]
 
@@ -140,9 +140,7 @@ def cmd_w1(args):
     rows = []
     for x, y in _pairs(H, args):
         for a in args.alpha:
-            mu = lazy_random_walk(H, x, a)
-            nu = lazy_random_walk(H, y, a)
-            val, _ = w1(H, mu, nu)
+            val = walk_w1(H, x, y, a)
             rows.append({"x": x, "y": y, "alpha": str(a),
                          "d": graph_distance(H, x, y), "w1": str(val)})
     _emit(rows, args.format)

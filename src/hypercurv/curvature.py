@@ -24,18 +24,18 @@ from .errors import (BadParams, InfiniteDerivativeAtZero, OutOfCatalogRange,
 from .hypergraph import Hypergraph, degree, generate, graph_distance
 from .measure import lazy_random_walk
 from .transport import WhResult, wh_exact, wh_heuristic
-from .wasserstein import w1
+# w1 stays bound here for perfbench/tracer.py, which patches curvature.w1
+from .wasserstein import w1, walk_w1  # noqa: F401
 
 
 def orc_alpha(H: Hypergraph, x: str, y: str, alpha) -> Fraction:
-    """Idleness-alpha curvature 1 - W1(m_x, m_y)/d(x, y), exact."""
+    """Idleness-alpha curvature 1 - W1(m_x, m_y)/d(x, y), exact.
+
+    W1 is a value only (see `walk_w1`): one kernel solve on the two walks
+    as integer vectors, with no measure objects and no coupling."""
     if x == y:
         raise SameVertex("curvature needs two distinct vertices")
-    alpha = Fraction(alpha)
-    mu = lazy_random_walk(H, x, alpha)
-    nu = lazy_random_walk(H, y, alpha)
-    val, _ = w1(H, mu, nu)
-    return 1 - val / graph_distance(H, x, y)
+    return 1 - walk_w1(H, x, y, alpha) / graph_distance(H, x, y)
 
 
 def orc_alpha_h(H: Hypergraph, h: ConcaveCost, x: str, y: str, alpha,
@@ -75,10 +75,10 @@ def sweep(H: Hypergraph, h: ConcaveCost, pairs, alphas,
           heuristic: bool = False, **solver_opts) -> list[CurvaturePoint]:
     """orc_alpha and orc_alpha_h over sorted(pairs) x sorted(alphas).
 
-    Each point shares one pair of walks between the exact W1 and W_h.
-    W_h comes from wh_exact with solver_opts, or from wh_heuristic when
-    heuristic is set; wh_heuristic takes no options, so passing both raises
-    BadParams.
+    Each point's exact W1 is a value only, solved as in orc_alpha; W_h
+    runs on the two walks as measures.  W_h comes from wh_exact with
+    solver_opts, or from wh_heuristic when heuristic is set; wh_heuristic
+    takes no options, so passing both raises BadParams.
     """
     if heuristic and solver_opts:
         raise BadParams(f"heuristic takes no options: {sorted(solver_opts)}")
@@ -89,9 +89,9 @@ def sweep(H: Hypergraph, h: ConcaveCost, pairs, alphas,
             raise SameVertex("curvature needs two distinct vertices")
         d = graph_distance(H, x, y)
         for a in alphas:
+            w1_val = walk_w1(H, x, y, a)
             mu = lazy_random_walk(H, x, a)
             nu = lazy_random_walk(H, y, a)
-            w1_val, _ = w1(H, mu, nu)
             if heuristic:
                 res = wh_heuristic(H, h, mu, nu)
             else:
@@ -114,16 +114,17 @@ def lly(H: Hypergraph, x: str, y: str) -> Fraction:
     d the neighbour count, and halves the distance to 1 each step.  It
     terminates: W1 is the maximum of finitely many functions linear in
     alpha (one per vertex of the Kantorovich dual polytope), so kappa has
-    finitely many linear pieces.  Adjacent pairs stop after two solves:
+    finitely many linear pieces.  An adjacent pair takes one solve:
     kappa is linear on [alpha_0, 1] there (Bourne-Cushing-Liu-Muench-
     Peyerimhoff, SIAM J. Discrete Math. 2018, applied to the 2-section,
-    whose walk and metric are those of H).
+    whose walk and metric are those of H), so the ratio at alpha_0 is the
+    limit.
     """
     alpha = Fraction(1, max(degree(H, x), degree(H, y)) + 1)
     prev = None
     while True:
         val = orc_alpha(H, x, y, alpha) / (1 - alpha)
-        if val == prev:
+        if val == prev or graph_distance(H, x, y) == 1:
             return val
         prev, alpha = val, (1 + alpha) / 2
 

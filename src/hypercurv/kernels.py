@@ -16,8 +16,12 @@ nodes beyond it cannot change the augmenting path, and their potentials
 rise by ``d*``, which is what a full Dijkstra would give them.  The path
 ends at the *lowest-index* deficit sink at ``d*``, not the first one
 popped: a lower-index sink can reach ``d*`` later through a back edge of
-zero reduced cost.  Each sink keeps the set of sources whose flow it
-receives, so settling a sink visits its back edges only.
+zero reduced cost.  So the phase also stops as soon as it settles the
+lowest-index sink that still has unmet demand: no lower-index sink can
+follow, every node below ``d*`` is already settled, and the rest rise by
+``d*`` either way.  A phase with ``d* = 0`` adds 0 to every potential, so
+its potential update is skipped.  Each sink keeps the set of sources
+whose flow it receives, so settling a sink visits its back edges only.
 
 The final potentials are an optimal dual certificate: every pair obeys
 ``pot_t[j] - pot_s[i] <= c_ij`` with equality wherever flow runs, so
@@ -51,8 +55,11 @@ def _solve(supplies, demands, costs, n_src, n_snk):
     rem_d = list(demands)
     pot_s = [0] * n_src
     pot_t = [0] * n_snk
+    j_low = 0  # the lowest-index sink with unmet demand
 
     while remaining > 0:
+        while not rem_d[j_low]:
+            j_low += 1
         dist_s = [INF] * n_src
         dist_t = [INF] * n_snk
         par_t = [-1] * n_snk
@@ -90,6 +97,8 @@ def _solve(supplies, demands, costs, n_src, n_snk):
                     d_star = d
                     if j < j_star:
                         j_star = j
+                    if j == j_low:
+                        break
                 off = d + pot_t[j]
                 for i in back[j]:
                     nd = off - costs[i * n_snk + j] - pot_s[i]
@@ -131,10 +140,11 @@ def _solve(supplies, demands, costs, n_src, n_snk):
         rem_d[j_star] -= bott
         remaining -= bott
 
-        pot_s = [p + (x if x < d_star else d_star)
-                 for p, x in zip(pot_s, dist_s)]
-        pot_t = [p + (x if x < d_star else d_star)
-                 for p, x in zip(pot_t, dist_t)]
+        if d_star:
+            pot_s = [p + (x if x < d_star else d_star)
+                     for p, x in zip(pot_s, dist_s)]
+            pot_t = [p + (x if x < d_star else d_star)
+                     for p, x in zip(pot_t, dist_t)]
 
     return sum(map(mul, flow, costs)), flow, pot_s, pot_t
 

@@ -96,23 +96,50 @@ def dirac(H: Hypergraph, x: str) -> ProbMeasure:
     return ProbMeasure({x: Fraction(1)})
 
 
-def lazy_random_walk(H: Hypergraph, x: str, alpha) -> ProbMeasure:
-    """One step of the idleness-alpha walk from x: stay with probability
-    alpha, otherwise jump uniformly to one of the d_x neighbors."""
+def _walk(H: Hypergraph, x: str, alpha):
+    """The idleness-alpha walk from x as (vertex ids, integer masses,
+    denominator): the weights are the masses over the denominator, the
+    lcm of their own denominators, in lazy_random_walk's key order."""
     alpha = Fraction(alpha)
     if not 0 <= alpha <= 1:
         raise AlphaOutOfRange(f"alpha = {alpha} outside [0, 1]")
     xid = H.vertex_id(x)
     if alpha == 1:
-        return dirac(H, x)
+        return (xid,), (1,), 1
     nbrs = H.neighbors(xid)
     if not nbrs:
         raise UnknownVertex(f"vertex {x!r} has no neighbors")
     share = (1 - alpha) / len(nbrs)
-    w = {H.label(v): share for v in nbrs}
-    if alpha > 0:
-        w[x] = alpha
-    return ProbMeasure(w)
+    den = lcm(share.denominator, alpha.denominator)
+    masses = [share.numerator * (den // share.denominator)] * len(nbrs)
+    if not alpha:
+        return nbrs, masses, den
+    return ((*nbrs, xid),
+            masses + [alpha.numerator * (den // alpha.denominator)], den)
+
+
+def lazy_random_walk(H: Hypergraph, x: str, alpha) -> ProbMeasure:
+    """One step of the idleness-alpha walk from x: stay with probability
+    alpha, otherwise jump uniformly to one of the d_x neighbors."""
+    ids, masses, den = _walk(H, x, alpha)
+    return ProbMeasure({H.label(v): Fraction(m, den)
+                        for v, m in zip(ids, masses)})
+
+
+def walk_units(H: Hypergraph, x: str, y: str, alpha):
+    """(D, mu units, nu units): the idleness-alpha walks from x and from y
+    as integer vectors by vertex id on the grid of 1/D, D the
+    common_denominator of the two walks.  Raises what lazy_random_walk
+    raises, for x before y."""
+    walks = _walk(H, x, alpha), _walk(H, y, alpha)
+    D = lcm(walks[0][2], walks[1][2])
+    vectors = []
+    for ids, masses, den in walks:
+        units = [0] * H.n
+        for v, m in zip(ids, masses):
+            units[v] = m * (D // den)
+        vectors.append(units)
+    return D, *vectors
 
 
 def common_denominator(measures) -> int:

@@ -53,7 +53,7 @@ from .errors import (
 )
 from .hypergraph import Hypergraph
 from .measure import ProbMeasure, common_denominator, quantize
-from .wasserstein import Coupling, w1, w1_flows, w1_units
+from .wasserstein import Coupling, w1, w1_flows, w1_primal_dual, w1_units
 
 COST_TOL = 1e-12
 # wh_exact enumerates a hyperedge of three or more vertices exhaustively
@@ -575,13 +575,14 @@ def wh_exact(H: Hypergraph, h: ConcaveCost, mu: ProbMeasure, nu: ProbMeasure,
     slack of COST_TOL * h(1) and heap keys are rounded relative to h(1),
     so h and any positive multiple of h run the same search.  The greedy
     construction of wh_heuristic seeds the incumbent so the search only
-    explores strictly cheaper plans; when the goal is popped, or the
-    frontier drains without reaching it, the incumbent is optimal, and
-    lower_bound is h(1) * W1.  Once more than max_states states are
-    expanded the best plan found so far is returned with optimality
-    "heuristic-upper-bound".  Every cheaper plan then passes an open
-    state (the one popped last, unexpanded, or one on the heap) whose key
-    bounds it from below, so lower_bound is the least open key, capped
+    explores strictly cheaper plans; one kernel solve of the start's W1
+    gives both the seed's flows and the start's potential.  When the goal
+    is popped, or the frontier drains without reaching it, the incumbent
+    is optimal, and lower_bound is h(1) * W1.  Once more than max_states
+    states are expanded the best plan found so far is returned with
+    optimality "heuristic-upper-bound".  Every cheaper plan then passes an
+    open state (the one popped last, unexpanded, or one on the heap) whose
+    key bounds it from below, so lower_bound is the least open key, capped
     by the incumbent, less the slack, and never below h(1) * W1.
     unpruned=True enumerates every successor of every hyperedge instead of
     the structured family (see _edge_successors).
@@ -632,15 +633,15 @@ def _search(H, h, mu, nu, D, max_states, unpruned):
     nu.check_support(H)
     start = quantize(H, mu, D)
     goal = quantize(H, nu, D)
-    lower_units, f_start = w1_units(H, start, goal)
+    # one solve prices the start and gives the seed its flows
+    lower_units, flows, f_start = w1_primal_dual(H, start, goal)
     h1 = h.h1
     lower = h1 * (lower_units / D)
     if start == goal:
         plan = TransportPlan(mu, nu, ())
         return WhResult(0.0, plan, "exact", 0.0, 0, D)
 
-    greedy = wh_heuristic(H, h, mu, nu)
-    incumbent_g = greedy.value
+    greedy_plan, incumbent_g = _seed(H, h, mu, nu, D, start, flows)
 
     edge_lists = [tuple(e) for e in H.edges]
     goal_by_edge = [tuple(goal[v] for v in e) for e in edge_lists]
@@ -756,7 +757,7 @@ def _search(H, h, mu, nu, D, max_states, unpruned):
     # is popped or the frontier drains without it; a pushed goal is left
     # unpopped only when the state budget ran out.
     plan = (_reconstruct(H, mu, nu, parents, goal, D) if goal in parents
-            else greedy.plan)
+            else greedy_plan)
     status = "heuristic-upper-bound" if exhausted else "exact"
     return WhResult(incumbent_g, plan, status, lower, expanded, D)
 
@@ -819,10 +820,16 @@ def wh_heuristic(H: Hypergraph, h: ConcaveCost, mu: ProbMeasure,
     D = common_denominator([mu, nu])
     start = quantize(H, mu, D)
     total, flows = w1_flows(H, start, quantize(H, nu, D))
-    lower = h.h1 * float(Fraction(total, D))
+    plan, value = _seed(H, h, mu, nu, D, start, flows)
+    return WhResult(value, plan, "heuristic-upper-bound",
+                    h.h1 * float(Fraction(total, D)), 0, D)
+
+
+def _seed(H, h, mu, nu, D, start, flows):
+    """(plan, plan_cost) of wh_heuristic from the W1 flows (x id, y id,
+    units) from start to nu on the grid of 1/D."""
     if not flows:
-        plan = TransportPlan(mu, nu, ())
-        return WhResult(0.0, plan, "heuristic-upper-bound", lower, 0, D)
+        return TransportPlan(mu, nu, ()), 0.0
 
     trees = {}
     pending = []  # per parcel: list of hops (from_id, to_id, edge)
@@ -859,7 +866,7 @@ def wh_heuristic(H: Hypergraph, h: ConcaveCost, mu: ProbMeasure,
     plan = TransportPlan(mu, nu, tuple(
         TransportStep(k, tuple((a, b, Fraction(m, D)) for a, b, m in moves))
         for k, moves in steps))
-    return WhResult(value, plan, "heuristic-upper-bound", lower, 0, D)
+    return plan, value
 
 
 def _steps_cost(start, steps, price):

@@ -14,7 +14,8 @@ from fractions import Fraction
 from . import kernels
 from .errors import SupportOutsideEdge
 from .hypergraph import Hypergraph
-from .measure import ProbMeasure, SignedDelta, common_denominator, quantize
+from .measure import (ProbMeasure, SignedDelta, common_denominator, quantize,
+                      walk_units)
 
 
 @dataclass(frozen=True)
@@ -59,6 +60,44 @@ def _split(start_units, goal_units):
     return sup_ids, sup_amt, dem_ids, dem_amt
 
 
+def _instance(H: Hypergraph, start_units, goal_units):
+    """(supply ids, demand ids, kernel arguments) of W1 between two
+    measures in grid units, or None when they are equal.  The arguments
+    are the supplies, the demands, the row-major hop distances from supply
+    to demand vertices and the two counts, as the kernels take them."""
+    sup_ids, sup_amt, dem_ids, dem_amt = _split(start_units, goal_units)
+    if not sup_ids:
+        return None
+    mat = H.distance_matrix()
+    costs = [mat[i][j] for i in sup_ids for j in dem_ids]
+    return sup_ids, dem_ids, (sup_amt, dem_amt, costs, len(sup_ids),
+                              len(dem_ids))
+
+
+def _c_transform(H: Hypergraph, dem_ids, pot_t):
+    """f[v] = min_j (d(v, j) - pot_t[j]) over the demand vertices j."""
+    sinks = tuple(zip(dem_ids, pot_t))
+    return [min([row[j] - p for j, p in sinks]) for row in H.distance_matrix()]
+
+
+def w1_total(H: Hypergraph, start_units, goal_units) -> int:
+    """W1 * D between two measures quantized to the grid 1/D: the kernel's
+    integer total alone, with no potential and no flows."""
+    inst = _instance(H, start_units, goal_units)
+    if inst is None:
+        return 0
+    return kernels.transport_value(*inst[2])[0]
+
+
+def walk_w1(H: Hypergraph, x: str, y: str, alpha) -> Fraction:
+    """W1 between the idleness-alpha walks from x and from y, as a value
+    only: one kernel solve on their integer vectors (`walk_units`), with
+    no measure objects and no coupling.  Equal to w1's value on
+    lazy_random_walk's measures, and raises what they raise."""
+    D, start, goal = walk_units(H, x, y, alpha)
+    return Fraction(w1_total(H, start, goal), D)
+
+
 def w1_units(H: Hypergraph, start_units, goal_units):
     """(W1 * D, f) between two measures quantized to the grid 1/D.
 
@@ -71,16 +110,12 @@ def w1_units(H: Hypergraph, start_units, goal_units):
     by Kantorovich-Rubinstein duality ``sum(f * (xi - goal_units))`` is a
     lower bound on ``W1 * D`` for every other measure xi.
     """
-    sup_ids, sup_amt, dem_ids, dem_amt = _split(start_units, goal_units)
-    if not sup_ids:
+    inst = _instance(H, start_units, goal_units)
+    if inst is None:
         return 0, [0] * len(start_units)
-    mat = H.distance_matrix()
-    costs = [mat[i][j] for i in sup_ids for j in dem_ids]
-    total, pot_t = kernels.transport_value(sup_amt, dem_amt, costs,
-                                           len(sup_ids), len(dem_ids))
-    sinks = tuple(zip(dem_ids, pot_t))
-    f = [min([row[j] - p for j, p in sinks]) for row in mat]
-    return total, f
+    _, dem_ids, args = inst
+    total, pot_t = kernels.transport_value(*args)
+    return total, _c_transform(H, dem_ids, pot_t)
 
 
 def w1_flows(H: Hypergraph, start_units, goal_units):
@@ -90,14 +125,28 @@ def w1_flows(H: Hypergraph, start_units, goal_units):
     optimal coupling, ascending by (x, y); the mass both measures share
     stays in place and is not listed.
     """
-    sup_ids, sup_amt, dem_ids, dem_amt = _split(start_units, goal_units)
-    if not sup_ids:
+    inst = _instance(H, start_units, goal_units)
+    if inst is None:
         return 0, []
-    mat = H.distance_matrix()
-    costs = [mat[i][j] for i in sup_ids for j in dem_ids]
-    total, flows = kernels.transport_plan(sup_amt, dem_amt, costs,
-                                          len(sup_ids), len(dem_ids))
+    sup_ids, dem_ids, args = inst
+    total, flows = kernels.transport_plan(*args)
     return total, [(sup_ids[i], dem_ids[j], f) for i, j, f in flows]
+
+
+def w1_primal_dual(H: Hypergraph, start_units, goal_units):
+    """(W1 * D, flows, f) from one kernel solve: the flows of `w1_flows`
+    and the potential of `w1_units`, each equal to what those give.  It
+    calls the kernel's `_solve`, since `transport_plan` and
+    `transport_value` each return only half of that."""
+    inst = _instance(H, start_units, goal_units)
+    if inst is None:
+        return 0, [], [0] * len(start_units)
+    sup_ids, dem_ids, args = inst
+    total, flow, _, pot_t = kernels._solve(*args)
+    n_snk = len(dem_ids)
+    flows = [(sup_ids[k // n_snk], dem_ids[k % n_snk], f)
+             for k, f in enumerate(flow) if f]
+    return total, flows, _c_transform(H, dem_ids, pot_t)
 
 
 def w1(H: Hypergraph, mu: ProbMeasure, nu: ProbMeasure):

@@ -1,6 +1,7 @@
 """Command-line surface: spec'd invocations, formats, exit codes."""
 
 import csv
+import hashlib
 import io
 import json
 from fractions import Fraction
@@ -94,6 +95,16 @@ class TestW1:
                      "--alpha", "1/2"]) == 0
         out = capsys.readouterr().out
         assert "3/4" in out  # exact rational value
+
+    def test_all_pairs_csv_pinned(self, grid9_file, capsys):
+        # 36 pairs x 4 idleness values, as printed when W1 came from w1's
+        # coupling solve on the two measures
+        assert main(["w1", grid9_file, "--pairs", "all",
+                     "--alpha", "0,1/4,1/2,1", "--format", "csv"]) == 0
+        out = capsys.readouterr().out
+        assert len(out.splitlines()) == 145
+        assert hashlib.sha256(out.encode()).hexdigest() == (
+            "f31e236b5dec70fa77edb00ae14f249903e64670f08f0d68a6d73c893bb4b5d8")
 
 
 class TestWh:

@@ -238,3 +238,29 @@ class TestAgainstReference:
         assert (total, flow, pot_t) == (6, [2, 0, 0, 0, 0, 1, 0, 2, 0],
                                          [2, 2, 1])
         assert_same_as_reference(sup, dem, costs, 3, 3)
+
+    def test_stops_at_lowest_deficit_sink(self):
+        # In the second phase source 0 reaches sink 0 at 1, the back edge
+        # of sink 0 reaches source 1 at 1, and source 1 reaches sinks 1
+        # and 2 at 1.  Sink 1 is then the lowest-index sink with unmet
+        # demand, so the phase stops there with d* = 1 while sink 2, also
+        # short, is still on the heap at 1.  Its potential rises by d*
+        # all the same, and the third phase prices sink 2 with it.
+        sup, dem = [2, 1], [1, 1, 1]
+        costs = [1, 2, 2,
+                 0, 0, 0]
+        assert kernels._solve(sup, dem, costs, 2, 3) == (
+            3, [1, 0, 1, 0, 1, 0], [0, 2], [1, 2, 2])
+        assert_same_as_reference(sup, dem, costs, 2, 3)
+
+    def test_run_of_zero_distance_phases(self):
+        # Phases two to four each reach their lowest-index short sink at
+        # d* = 0 (sink 1, sink 1, then sink 2, the last two through the
+        # back edge of sink 0), so none of them moves a potential; the
+        # phases before and after the run have d* = 1.
+        sup, dem = [3, 3], [2, 2, 2]
+        costs = [1, 1, 1,
+                 1, 3, 2]
+        assert kernels._solve(sup, dem, costs, 2, 3) == (
+            7, [0, 2, 1, 2, 0, 1], [1, 0], [1, 2, 2])
+        assert_same_as_reference(sup, dem, costs, 2, 3)

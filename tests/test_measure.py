@@ -14,7 +14,7 @@ from hypercurv import (
     lazy_random_walk,
 )
 from hypercurv.errors import AlphaOutOfRange, UnknownVertex
-from hypercurv.measure import quantize
+from hypercurv.measure import quantize, walk_units
 
 from conftest import random_hypergraph, random_measure
 
@@ -73,6 +73,54 @@ class TestLazyWalk:
         H = generate("cycle", 6)
         with pytest.raises(AlphaOutOfRange):
             lazy_random_walk(H, "v0", Fraction(5, 4))
+
+
+def _listed_walk(H, x, alpha):
+    """The lazy walk as it was written before it was built from integer
+    masses, kept as the reference for its weights and key order."""
+    alpha = Fraction(alpha)
+    if alpha == 1:
+        return dirac(H, x)
+    nbrs = H.neighbors(H.vertex_id(x))
+    share = (1 - alpha) / len(nbrs)
+    w = {H.label(v): share for v in nbrs}
+    if alpha > 0:
+        w[x] = alpha
+    return ProbMeasure(w)
+
+
+WALK_ALPHAS = [Fraction(0), Fraction(1, 7), Fraction(1, 4), Fraction(1, 2),
+               Fraction(5, 6), Fraction(1)]
+
+
+def _walk_graphs():
+    rng = random.Random(29)
+    return ([generate("grid9"), generate("cycle", 5), generate("path", 3)]
+            + [random_hypergraph(rng) for _ in range(20)])
+
+
+class TestWalkUnits:
+    def test_weights_and_key_order_unchanged(self):
+        for H in _walk_graphs():
+            for x in H.vertices:
+                for a in WALK_ALPHAS:
+                    got = list(lazy_random_walk(H, x, a).weights.items())
+                    want = list(_listed_walk(H, x, a).weights.items())
+                    assert got == want, (H.edges, x, a)
+
+    def test_grid_is_common_denominator(self):
+        # the integer walks are the quantized measures on the grid that
+        # common_denominator picks for the two walks
+        for H in _walk_graphs():
+            for x in H.vertices:
+                for y in H.vertices:
+                    for a in WALK_ALPHAS:
+                        mu = lazy_random_walk(H, x, a)
+                        nu = lazy_random_walk(H, y, a)
+                        D, start, goal = walk_units(H, x, y, a)
+                        assert D == common_denominator([mu, nu])
+                        assert tuple(start) == quantize(H, mu, D)
+                        assert tuple(goal) == quantize(H, nu, D)
 
 
 class TestCommonDenominator:

@@ -32,7 +32,7 @@ from hypercurv.errors import (
     NotAssociated,
     StepLeavesHyperedge,
 )
-from hypercurv import transport
+from hypercurv import kernels, transport
 from hypercurv.measure import quantize
 from hypercurv.transport import (
     COST_TOL,
@@ -546,15 +546,17 @@ class TestDualBound:
                                for pv, x, g in zip(p, xi, goal)) <= units
 
     def test_grid9_kernel_calls_pinned(self, monkeypatch):
-        # a popped state that a bundle potential prunes costs no W1 solve:
-        # 2,226 solves where pricing every pop made 13,367
+        # a popped state that a bundle potential prunes costs no W1 solve,
+        # and the start's one solve also gives the greedy seed its flows:
+        # 2,226 kernel solves where pricing every pop makes 13,367
         calls = []
+        solve = kernels._solve
 
-        def counted(H, start, goal):
-            calls.append(start)
-            return w1_units(H, start, goal)
+        def counted(*args):
+            calls.append(args)
+            return solve(*args)
 
-        monkeypatch.setattr(transport, "w1_units", counted)
+        monkeypatch.setattr(kernels, "_solve", counted)
         H = generate("grid9")
         mu = lazy_random_walk(H, "x", Fraction(1, 4))
         nu = lazy_random_walk(H, "y", Fraction(1, 4))
