@@ -32,7 +32,7 @@ from .curvature import (
 from .errors import BadParams, HypercurvError
 from .hypergraph import Hypergraph, graph_distance, parse_hypergraph
 from .measure import ProbMeasure, lazy_random_walk
-from .transport import plan_cost, wh_exact, wh_heuristic
+from .transport import COST_TOL, plan_cost, wh_exact, wh_heuristic
 from .wasserstein import w1, walk_w1
 
 CSV_COLUMNS = ["x", "y", "alpha", "d", "w1", "wh", "wh_status", "kappa", "kappa_h"]
@@ -83,8 +83,8 @@ def _pairs(H: Hypergraph, args):
             if args.pairs != "adjacent" or H.distance_id(a, b) == 1]
 
 
-def _emit(rows, fmt, stream=None):
-    stream = stream or sys.stdout
+def _emit(rows, fmt):
+    stream = sys.stdout
     if fmt == "json":
         json.dump(rows, stream, indent=2)
         stream.write("\n")
@@ -159,8 +159,9 @@ def cmd_wh(args):
                 res = wh_heuristic(H, h, mu, nu)
             else:
                 res = wh_exact(H, h, mu, nu, **_solver_opts(args))
+            # the search's own slack, which scales with h(1)
             check = plan_cost(H, h, res.plan)
-            if abs(check - res.value) > 1e-9:
+            if abs(check - res.value) > COST_TOL * h.h1:
                 raise HypercurvError("plan failed to re-validate")
             row = {"x": x, "y": y, "alpha": str(a), "wh": repr(res.value),
                    "wh_status": res.optimality,

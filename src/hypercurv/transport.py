@@ -58,7 +58,7 @@ from .wasserstein import Coupling, w1, w1_flows, w1_primal_dual, w1_units
 COST_TOL = 1e-12
 # wh_exact enumerates a hyperedge of three or more vertices exhaustively
 # while its mass has at most this many compositions over them, and uses the
-# structured successor family beyond (see _edge_successors).
+# structured successor family beyond (see _structured).
 FULL_ENUM_LIMIT = 512
 
 
@@ -262,8 +262,8 @@ def _most_taken(total, ref):
 
 def _t_groups(cur, hi, unpruned):
     """The t values, ascending, of the groups in which an edge's successors
-    are enumerated exhaustively, or None for the structured family (see
-    _edge_successors)."""
+    are enumerated exhaustively (see _exhaustive), or None for the
+    structured family (see _structured)."""
     k, M = len(cur), sum(cur)
     if M == 0:
         return range(0)
@@ -309,14 +309,20 @@ def _open_groups(ts, dear):
 
 
 def _exhaustive(cur, hi, ts, dear):
-    """(new values, moved, t) of the compositions of cur's mass but cur
-    itself that dear keeps, in the t groups ts, group by group and each
-    group in the order of _compositions.
+    """(new values, moved, t) of every composition of cur's mass but cur
+    itself that dear(moved, t) keeps, group by group in the ascending t of
+    ts (see _t_groups), each group in the order of _compositions.
 
-    Each group of ts has dear(|t|, t) false (see _open_groups) and dear
-    is nondecreasing in moved, so group t keeps the children that move at
-    most its cap: the largest moved in [|t|, the most the group can move]
-    that dear(moved, t) keeps, found by bisection.
+    `hi` flags the edge's high-potential vertices (potential one above the
+    edge minimum) and t = sum(hi * (new - cur)) is the net mass a child
+    moves onto them; the dual bound of a child depends on t alone, and
+    moved >= |t|.  `dear` must be nondecreasing in both arguments, as the
+    search's test is: it adds the step price of moved to the envelope of
+    W1 + t, and both are nondecreasing.  Only the groups _open_groups
+    keeps are enumerated, and group t only up to its cap: the largest
+    moved in [|t|, the most the group can move] that dear(moved, t)
+    keeps, found by bisection.  Each child is then dropped exactly when
+    dear drops it, and whole ranges of children are dropped untried.
     """
     k = len(cur)
     high = [i for i in range(k) if hi[i]]
@@ -326,7 +332,8 @@ def _exhaustive(cur, hi, ts, dear):
     on_high, on_low = sum(cur_high), sum(cur_low)
     order = high + low
     place = [order.index(i) for i in range(k)]
-    for t in ts:
+    for i in _open_groups(ts, dear):
+        t = ts[i]
         cap = (_most_taken(on_high + t, cur_high)
                + _most_taken(on_low - t, cur_low))
         kept = abs(t)
@@ -348,10 +355,20 @@ def _exhaustive(cur, hi, ts, dear):
                     yield tuple(map(stacked.__getitem__, place)), moved, t
 
 
-def _structured(cur, goal, hi, dear):
-    """(new values, moved, t) of the structured family (see
-    _edge_successors) that dear, nondecreasing in both arguments, keeps,
-    in generation order, each tuple once."""
+def _structured(cur, goal, hi):
+    """(new values, moved, t) of every child of the structured family, in
+    generation order, each tuple once.
+
+    A hyperedge of three or more vertices whose mass has more than
+    FULL_ENUM_LIMIT compositions uses this family instead of the
+    exhaustive enumeration, unless unpruned (see _t_groups).  Sources
+    drain to 0 or to their goal value, targets fill to their goal value,
+    and one vertex absorbs the balance; or one source fills targets
+    exactly to goal and keeps the rest.  The family contains every step
+    of the worked optimal plans; the unpruned flag restores ground truth.
+    moved and t are as in _exhaustive, and both are fixed by a child's
+    values, so a tuple that recurs recurs with the same pair.
+    """
     seen = set()
     k = len(cur)
     idx = range(k)
@@ -361,8 +378,7 @@ def _structured(cur, goal, hi, dear):
     fill_t = [hi[i] * (goal[i] - cur[i]) for i in idx]
     # batching moves: a source set drains to zero or to its goal value; the
     # freed mass fills chosen targets exactly to goal, any remainder piles
-    # on one residual vertex.  A child's moved and t are fixed by its
-    # values, so a dear child is dear wherever it recurs.
+    # on one residual vertex
     for r in range(1, len(pos) + 1):
         for S in itertools.combinations(pos, r):
             opts = []
@@ -378,10 +394,6 @@ def _structured(cur, goal, hi, dear):
                     continue
                 t_drain = sum(hi[s] * (dv - cur[s])
                               for s, dv in zip(S, drains))
-                # every child of the batch moves freed and fills or piles
-                # only onto others, so its t is at least t_drain
-                if dear(freed, t_drain):
-                    continue
                 for nfill in range(len(fill_cand) + 1):
                     for T in itertools.combinations(fill_cand, nfill):
                         need = sum(goal[t] - cur[t] for t in T)
@@ -396,8 +408,6 @@ def _structured(cur, goal, hi, dear):
                                 continue
                             t_child = t_fill + (
                                 0 if resid is None else hi[resid] * rest)
-                            if dear(freed, t_child):
-                                continue
                             new = list(cur)
                             for s, dv in zip(S, drains):
                                 new[s] = dv
@@ -417,8 +427,6 @@ def _structured(cur, goal, hi, dear):
                 need = sum(goal[t] - cur[t] for t in T)
                 if 0 < need <= cur[s]:
                     t_child = sum(fill_t[t] for t in T) - hi[s] * need
-                    if dear(need, t_child):
-                        continue
                     new = list(cur)
                     for t in T:
                         new[t] = goal[t]
@@ -429,105 +437,47 @@ def _structured(cur, goal, hi, dear):
                         yield tup, need, t_child
 
 
-def _never(moved, t):
-    return False
-
-
-def _edge_successors(cur, goal, hi, unpruned, dear):
-    """New value tuples for one edge, with the mass moved and its t, of
-    every successor that dear(moved, t) keeps.
-
-    `hi` flags the edge's high-potential vertices (potential one above the
-    edge minimum) and t = sum(hi * (new - cur)) is the net mass a
-    successor moves onto them; the dual bound of a successor depends on t
-    alone, and ``moved >= |t|``.  `dear` must be nondecreasing in both
-    arguments, as the search's test is: it adds the step price of moved
-    to the envelope of W1 + t, and both are nondecreasing.  Each child is
-    then dropped exactly when dear drops it, and whole ranges of children
-    are dropped untried.
-
-    2-vertex edges (complete on graphs), edges whose composition count is
-    at most FULL_ENUM_LIMIT, and every edge under `unpruned` are enumerated
-    exhaustively, grouped by t in ascending order (see _exhaustive): only
-    the groups _open_groups keeps are enumerated, and each only up to its
-    cap on moved.  An edge whose potentials are all equal has the one
-    group t = 0.  Larger hyperedges use a structured family (see
-    _structured): sources drain to 0 or to their goal value, targets fill
-    to their goal value, one vertex absorbs the balance.  That family
-    contains every step of the worked optimal plans; the unpruned flag
-    restores ground truth.  It is generated in its own order, not by t;
-    a batch of sources is dropped when its least t is dear, and each
-    child is tested before its tuple is built.  _t_groups tells the two
-    apart.
-    """
-    ts = _t_groups(cur, hi, unpruned)
-    if ts is None:
-        return _structured(cur, goal, hi, dear)
-    return _exhaustive(cur, hi, [ts[i] for i in _open_groups(ts, dear)],
-                       dear)
-
-
 class _SuccessorTable:
-    """One key's successors, for the repeat visits of one _search call.
+    """A structured key's successors (see _structured), built whole on the
+    key's first visit and walked on every visit of one _search call.
 
     The key is an edge's local values, local goal and potential pattern
     hi, which fix its successors.  Each child is packed into one int, most
-    significant field first: moved, generation order, new values.  The
+    significant field first: moved, index in the family, new values.  The
     children of a t group form one sorted run, so a run is ordered by
     moved, which orders it by h(moved) as h is nondecreasing, and then by
     generation.  The groups are kept in ascending t, so _open_groups
-    applies to the structured family as to the exhaustive enumeration.
-    The exhaustive groups are built when a visit first needs them, those
-    one visit needs in one pass; the structured family is built whole at
-    once.  The runs share one array('q'), a list when an int needs more
-    than 63 bits, so a child costs about 8 bytes and a group 24.
+    applies to them as to the exhaustive enumeration.  The runs share one
+    array('q'), a list when an int needs more than 63 bits, so a child
+    costs about 8 bytes and a group 16.
     """
 
-    __slots__ = ("key", "grouped", "ts", "spans", "packed",
-                 "M", "k", "vbits", "ibits", "lbits")
+    __slots__ = ("ts", "spans", "packed", "k", "vbits", "lbits")
 
-    def __init__(self, cur, goal, hi, unpruned):
-        self.key = (cur, goal, hi)
-        k, M = self.k, self.M = len(cur), sum(cur)
-        self.vbits = max(M, 1).bit_length()
-        # the order of a child: (t + M, index in its pass) when grouped,
-        # its index in the whole family otherwise
-        self.ibits = math.comb(M + k - 1, k - 1).bit_length()
-        self.lbits = k * self.vbits + (2 * M).bit_length() + self.ibits
-        wide = M.bit_length() + self.lbits > 63
-        self.packed = [] if wide else array("q")
-        ts = _t_groups(cur, hi, unpruned)
-        self.grouped = ts is not None
-        runs = {} if self.grouped else self._runs(
-            _structured(cur, goal, hi, _never))
-        # group ts[i] is packed[spans[2i]:spans[2i + 1]], or unbuilt at -1
-        self.ts = array("q", sorted(runs) if ts is None else ts)
-        self.spans = array("q", [-1, -1]) * len(self.ts)
-        if not self.grouped:
-            self._store(range(len(self.ts)), runs)
-
-    def _runs(self, children):
-        """t -> packed children, unsorted."""
-        vbits, lbits, ibits, M = self.vbits, self.lbits, self.ibits, self.M
+    def __init__(self, cur, goal, hi):
+        self.k = k = len(cur)
+        M = sum(cur)
+        vbits = self.vbits = max(M, 1).bit_length()
+        # a child's index in the family is below its composition count
+        lbits = self.lbits = (k * vbits
+                              + math.comb(M + k - 1, k - 1).bit_length())
         runs = {}
-        for n, (new, moved, t) in enumerate(children):
-            low = (t + M) << ibits | n if self.grouped else n
+        for n, (new, moved, t) in enumerate(_structured(cur, goal, hi)):
+            low = n
             for v in reversed(new):
                 low = low << vbits | v
             run = runs.get(t)
             if run is None:
                 run = runs[t] = []
             run.append(moved << lbits | low)
-        return runs
-
-    def _store(self, groups, runs):
-        """Append groups ts[i], i in groups, sorted, from runs."""
-        packed, spans = self.packed, self.spans
-        for i in groups:
-            run = runs.get(self.ts[i], ())
-            spans[2 * i] = len(packed)
-            packed.extend(sorted(run))
-            spans[2 * i + 1] = len(packed)
+        packed = self.packed = ([] if M.bit_length() + lbits > 63
+                                else array("q"))
+        # group ts[i] is packed[spans[i]:spans[i + 1]]
+        self.ts = array("q", sorted(runs))
+        self.spans = array("q", [0])
+        for t in self.ts:
+            packed.extend(sorted(runs[t]))
+            self.spans.append(len(packed))
 
     def survivors(self, dear):
         """(new values, moved, t), in generation order, of every child that
@@ -535,21 +485,15 @@ class _SuccessorTable:
 
         `dear` must be nondecreasing in both arguments, as the search's
         test is (its step prices and envelope are nondecreasing).  Only
-        the groups _open_groups keeps are built and walked, and the walk
-        of a group, in nondecreasing moved, stops at its first dear child.
+        the groups _open_groups keeps are walked, and the walk of a group,
+        in nondecreasing moved, stops at its first dear child.
         """
         packed, spans, lbits, ts = self.packed, self.spans, self.lbits, self.ts
-        groups = _open_groups(ts, dear)
-        need = [i for i in groups if spans[2 * i] < 0]
-        if need:
-            cur, _goal, hi = self.key
-            self._store(need, self._runs(
-                _exhaustive(cur, hi, [ts[i] for i in need], _never)))
         lmask = (1 << lbits) - 1
         found = []
-        for i in groups:
+        for i in _open_groups(ts, dear):
             t = ts[i]
-            for j in range(spans[2 * i], spans[2 * i + 1]):
+            for j in range(spans[i], spans[i + 1]):
                 moved = packed[j] >> lbits
                 if dear(moved, t):
                     break
@@ -585,7 +529,7 @@ def wh_exact(H: Hypergraph, h: ConcaveCost, mu: ProbMeasure, nu: ProbMeasure,
     key bounds it from below, so lower_bound is the least open key, capped
     by the incumbent, less the slack, and never below h(1) * W1.
     unpruned=True enumerates every successor of every hyperedge instead of
-    the structured family (see _edge_successors).
+    the structured family (see _structured).
 
     W1 is evaluated lazily.  An expanded state keeps the Kantorovich
     potential f of its exact W1 (see `w1_units`), and a child differing by
@@ -598,20 +542,27 @@ def wh_exact(H: Hypergraph, h: ConcaveCost, mu: ProbMeasure, nu: ProbMeasure,
     dear(moved, t) = g + h(moved) + envelope(max(W1 + t, 0)) reaches the
     incumbent.  The step prices h(m / D) and the envelope are
     nondecreasing, so dear is nondecreasing in both moved and t, and the
-    successor enumeration prunes inside itself on that contract: it skips
-    a whole range of t groups whose cheapest possible child is too dear,
-    caps the moved mass inside an open group, and drops a batch of the
-    structured family by its least t.  It yields exactly the children
-    that dear keeps.
+    successors are found on that contract: a whole range of t groups
+    whose cheapest possible child is too dear is skipped untried, and
+    each open group is walked or enumerated only up to the first moved
+    mass that is too dear.  Exactly the children that dear keeps come
+    out.
 
-    The first visit of a key (an edge's local values, local goal and
-    potential pattern) streams its successors so.  Every later visit
-    walks the key's _SuccessorTable instead: the same range skip picks
-    its open t groups, each sorted by moved, and a group's walk stops at
-    its first child that is too dear.  The survivors are pushed in
-    generation order, each tested again against the incumbent of the
-    moment, so the search pushes the same children in the same order as
-    a plain stream.  Tables live inside one call.
+    Which path serves a key (an edge's local values, local goal and
+    potential pattern) is decided by its enumeration, as _t_groups names
+    it.  An exhaustive key streams _exhaustive on every visit and builds
+    nothing: each open group is capped on moved by bisection, and the
+    compositions are cut at the cap.  A structured key builds its
+    _SuccessorTable whole on its first visit and walks it on every
+    visit: the range skip picks its open t groups, each sorted by moved,
+    and a group's walk stops at its first child that is too dear.  The
+    walk's survivors are pushed in generation order, each tested again
+    against the incumbent of the moment, so the search pushes the same
+    children in the same order as a plain stream of the family.  Tables
+    live inside one call.  On grid9 x,y under log at alpha = 1/8, 1/4
+    and 1/2, 68% of the key visits are structured; an instance whose
+    edges never hold more than FULL_ENUM_LIMIT compositions builds no
+    table.
 
     A popped child is tested before its W1 solve against the bundle: the
     distinct potentials of this call's solves, the one that last pruned
@@ -652,7 +603,7 @@ def _search(H, h, mu, nu, D, max_states, unpruned):
     # rounding of the heap keys: h and a*h get the same search.
     tol, slack = COST_TOL * h1, 1e-15 * h1
 
-    # key -> _SuccessorTable, or None after the key's first visit
+    # structured key -> its _SuccessorTable
     tables = {}
     g_best = {start: 0.0}
     parents = {start: None}
@@ -717,19 +668,16 @@ def _search(H, h, mu, nu, D, max_states, unpruned):
                 continue  # no mass on the edge, so no successor
             base = min([pot[v] for v in edge])
             hi = tuple([pot[v] - base for v in edge])
-            key = (cur, goal_by_edge[k], hi)
-            table = tables.get(key, False)
-            if table is False:
-                # a table costs about two streams to fill: a first visit
-                # streams
-                tables[key] = None
-                children = _edge_successors(cur, goal_by_edge[k], hi,
-                                            unpruned, dear)
-            else:
+            ts = _t_groups(cur, hi, unpruned)
+            if ts is None:
+                key = (cur, goal_by_edge[k], hi)
+                table = tables.get(key)
                 if table is None:
                     table = tables[key] = _SuccessorTable(
-                        cur, goal_by_edge[k], hi, unpruned)
+                        cur, goal_by_edge[k], hi)
                 children = table.survivors(dear)
+            else:
+                children = _exhaustive(cur, hi, ts, dear)
             for new_vals, moved, t in children:
                 g2 = g + cost_of(moved)
                 bound = env_of(max(w1u + t, 0))
@@ -780,29 +728,18 @@ def _reconstruct(H, mu, nu, parents, goal, D):
 # ---------------------------------------------------------------------------
 
 
-def _shortest_hops(H: Hypergraph, src: int):
-    """BFS tree from src: vertex -> (previous vertex, edge index), chosen
-    lexicographically for reproducible routes."""
-    parent = {src: None}
-    frontier = [src]
-    while frontier:
-        nxt = []
-        for v in sorted(frontier):
-            for k in H.incidence[v]:
-                for w in H.edges[k]:
-                    if w not in parent:
-                        parent[w] = (v, k)
-                        nxt.append(w)
-        frontier = nxt
-    return parent
-
-
-def _parcel_path(H, src: int, dst: int, tree):
+def _parcel_path(H, src: int, dst: int):
+    """Hops (from id, to id, edge) of a shortest route from src to dst,
+    chosen lexicographically for reproducible routes: walking back from
+    dst, each hop comes from the lowest-id neighbour one hop nearer src,
+    over that neighbour's first incident edge that holds the vertex."""
+    dist = H.distance_matrix()[src]
     hops = []
     v = dst
     while v != src:
-        pv, k = tree[v]
-        hops.append((pv, v, k))
+        pv = next(u for u in H.neighbors(v) if dist[u] == dist[v] - 1)
+        hops.append((pv, v, next(k for k in H.incidence[pv]
+                                 if v in H.edges[k])))
         v = pv
     hops.reverse()
     return hops
@@ -831,13 +768,10 @@ def _seed(H, h, mu, nu, D, start, flows):
     if not flows:
         return TransportPlan(mu, nu, ()), 0.0
 
-    trees = {}
     pending = []  # per parcel: list of hops (from_id, to_id, edge)
     masses = []
     for x, y, units in flows:
-        if x not in trees:
-            trees[x] = _shortest_hops(H, x)
-        pending.append(_parcel_path(H, x, y, trees[x]))
+        pending.append(_parcel_path(H, x, y))
         masses.append(units)
 
     pos = [0] * len(pending)

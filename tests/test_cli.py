@@ -1,6 +1,7 @@
 """Command-line surface: spec'd invocations, formats, exit codes."""
 
 import csv
+import dataclasses
 import hashlib
 import io
 import json
@@ -16,8 +17,10 @@ from hypercurv import (
     lazy_random_walk,
     orc_alpha,
     plan_cost,
+    wh_exact,
     wh_heuristic,
 )
+from hypercurv import cli
 from hypercurv.cli import main
 from hypercurv.errors import Hp1ZeroWarning
 
@@ -124,6 +127,20 @@ class TestWh:
         with pytest.raises(SystemExit) as exc:
             main(["wh", grid9_file, "--h", LOG1, "--pair", "x,y"])
         assert exc.value.code == 2
+
+    def test_wrong_value_refused_at_small_scale(self, grid9_file, capsys,
+                                                monkeypatch):
+        # at a = 1e-12 the values are about 5e-13, so the re-validation
+        # must scale with h(1) to see a value 10% off its plan's cost
+        def off(*args, **kwargs):
+            res = wh_exact(*args, **kwargs)
+            return dataclasses.replace(res, value=res.value * 1.1)
+
+        monkeypatch.setattr(cli, "wh_exact", off)
+        code = main(["wh", grid9_file, "--h", '{"family":"log","a":"1e-12"}',
+                     "--pair", "x,y", "--alpha", "1/2"])
+        assert code == 1
+        assert "plan failed to re-validate" in capsys.readouterr().err
 
 
 class TestCurvature:

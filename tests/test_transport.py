@@ -37,16 +37,17 @@ from hypercurv.measure import quantize
 from hypercurv.transport import (
     COST_TOL,
     _compositions,
-    _edge_successors,
     _envelope,
+    _exhaustive,
     _merge_pass,
-    _never,
     _open_groups,
+    _parcel_path,
     _search,
     _step_prices,
     _steps_cost,
     _SuccessorTable,
     _step_kernels,
+    _structured,
     _t_groups,
     _two_paths,
 )
@@ -386,6 +387,19 @@ class TestEnvelope:
                 assert repr(_envelope(h.h1, price, w, D)) == repr(want)
 
 
+def _never(moved, t):
+    return False
+
+
+def _family(cur, goal, hi, unpruned):
+    """Every successor of one key, in generation order: the structured
+    family, or the exhaustive enumeration uncapped, as _t_groups picks."""
+    ts = _t_groups(cur, hi, unpruned)
+    if ts is None:
+        return list(_structured(cur, goal, hi))
+    return list(_exhaustive(cur, hi, ts, _never))
+
+
 def _monotone_dear(rng, M):
     """A random test of (moved, t), nondecreasing in both: a concave price
     of moved plus a random staircase in t, or thresholds on each."""
@@ -441,8 +455,7 @@ class TestDualBound:
                 hi = tuple(f[v] - base for v in edge)
                 assert set(hi) <= {0, 1}
                 goal_e = tuple(goal[v] for v in edge)
-                for new, moved, t in _edge_successors(
-                        cur, goal_e, hi, unpruned, lambda moved, t: False):
+                for new, moved, t in _family(cur, goal_e, hi, unpruned):
                     dot = sum(f[v] * (n - c) for v, c, n in zip(edge, cur, new))
                     assert dot == t
                     child = list(start)
@@ -458,11 +471,11 @@ class TestDualBound:
         cur = (3, 0, 2, 1)
         hi = (0, 1, 1, 0)
         every = {c for c, _ in _compositions(sum(cur), cur, sum(cur))} - {cur}
-        out = [new for new, _, _ in _edge_successors(
-            cur, cur, hi, True, lambda moved, t: False)]
+        ts = _t_groups(cur, hi, True)
+        out = [new for new, _, _ in _exhaustive(cur, hi, ts, _never)]
         assert len(out) == len(set(out)) and set(out) == every
-        kept = {new for new, _, t in _edge_successors(
-            cur, cur, hi, True, lambda moved, t: t >= 1)}
+        kept = {new for new, _, t in _exhaustive(
+            cur, hi, ts, lambda moved, t: t >= 1)}
         assert kept == {c for c in every if c[1] + c[2] - 2 < 1}
 
     def test_stream_asks_dear_per_range(self):
@@ -478,19 +491,20 @@ class TestDualBound:
             return (math.sqrt(moved) + math.sqrt(max(w + t, 0))
                     >= math.sqrt(w) + 1e-9)
 
-        out = list(_edge_successors(cur, cur, hi, False, dear))
+        ts = _t_groups(cur, hi, False)
+        out = list(_exhaustive(cur, hi, ts, dear))
         assert out == [((800, 1248), 700, -700)]
-        assert len(_t_groups(cur, hi, False)) == 2049
+        assert len(ts) == 2049
         assert len(asked) <= 60
-        # the structured family asks once per batch of sources before
-        # building any of its children
+        # a structured key's table walk skips the same ranges: with every
+        # child dear it asks about a couple of groups, not each child
         cur, goal, hi = (5, 0, 4, 1, 3), (1, 4, 0, 5, 3), (0, 1, 1, 0, 1)
         assert _t_groups(cur, hi, False) is None
-        full = list(_edge_successors(cur, goal, hi, False, _never))
+        table = _SuccessorTable(cur, goal, hi)
+        full = table.survivors(_never)
         asked.clear()
-        assert list(_edge_successors(cur, goal, hi, False,
-                                     lambda moved, t: dear(0, w))) == []
-        assert 0 < len(asked) < len(full)
+        assert table.survivors(lambda moved, t: dear(0, w)) == []
+        assert 0 < len(asked) <= 2 < len(full)
 
     def test_open_groups_match_per_t_filter(self):
         # the range skip keeps exactly the groups a per-t test keeps, on
@@ -601,29 +615,24 @@ class TestSuccessorTable:
             yield tuple(cur), tuple(goal), tuple(hi), n % 3 == 0
 
     def test_walk_matches_stream(self):
+        # a structured key's table walk keeps exactly the children of its
+        # family below a cut, in generation order, and an exhaustive key's
+        # stream those of its uncapped enumeration; the cut falls as t
+        # rises, as the search's does
         h = H_LOG
         branches = set()
         for cur, goal, hi, unpruned in self._keys(808, 150):
             M = sum(cur)
-            full = list(_edge_successors(cur, goal, hi, unpruned,
-                                         lambda moved, t: False))
+            full = _family(cur, goal, hi, unpruned)
             k = len(cur)
             grouped = unpruned or math.comb(M + k - 1, k - 1) \
                 <= transport.FULL_ENUM_LIMIT
             branches.add(grouped)
             ts = _t_groups(cur, hi, unpruned)
             assert (ts is not None) == grouped
-            if grouped:
-                # the groups come in the ascending order of _t_groups
-                seen = [t for _, _, t in full]
-                assert seen == sorted(seen) and set(seen) <= set(ts)
             for new, moved, t in full:
                 assert moved == sum(c - n for c, n in zip(cur, new) if c > n)
                 assert t == sum(f * (n - c) for c, n, f in zip(cur, new, hi))
-            table = _SuccessorTable(cur, goal, hi, unpruned)
-            # a cut per group keeps exactly the children below it, in
-            # generation order, before and after every group is built; the
-            # cut falls as t rises, as the search's does
             rng = random.Random(M)
             offset = dict(zip(range(-M, M + 1), itertools.accumulate(
                 rng.random() / M for _ in range(2 * M + 1))))
@@ -633,8 +642,15 @@ class TestSuccessorTable:
                 return h.eval(Fraction(moved, M)) + offset[t] >= limit
 
             cut = [c for c in full if not dear(c[1], c[2])]
+            if grouped:
+                # the groups come in the ascending order of _t_groups
+                seen = [t for _, _, t in full]
+                assert seen == sorted(seen) and set(seen) <= set(ts)
+                assert list(_exhaustive(cur, hi, ts, dear)) == cut
+                continue
+            table = _SuccessorTable(cur, goal, hi)
             assert table.survivors(dear) == cut
-            # the union of the groups, walked to the end, is the stream
+            # the union of the groups, walked to the end, is the family
             walked = {}
 
             def never(moved, t):
@@ -642,7 +658,6 @@ class TestSuccessorTable:
                 return False
 
             assert table.survivors(never) == full
-            assert table.survivors(dear) == cut
             # each group is walked in nondecreasing compared cost
             for moves in walked.values():
                 costs = [h.eval(Fraction(m, M)) for m in moves]
@@ -650,33 +665,75 @@ class TestSuccessorTable:
         assert branches == {True, False}
 
     def test_stream_and_walk_keep_what_dear_keeps(self):
-        # for any dear nondecreasing in moved and in t, the stream and the
-        # table walk keep exactly the children of the full enumeration
-        # that dear keeps, in generation order, exhaustive, structured and
-        # unpruned alike
+        # for any dear nondecreasing in moved and in t, the stream of an
+        # exhaustive key and the table walk of a structured key keep
+        # exactly the children of the full enumeration that dear keeps,
+        # in generation order, unpruned keys alike
         branches = set()
         for n, (cur, goal, hi, unpruned) in enumerate(self._keys(809, 150)):
-            branches.add((_t_groups(cur, hi, unpruned) is not None, unpruned))
-            full = list(_edge_successors(cur, goal, hi, unpruned, _never))
+            ts = _t_groups(cur, hi, unpruned)
+            branches.add((ts is not None, unpruned))
+            full = _family(cur, goal, hi, unpruned)
             dear = _monotone_dear(random.Random(n), sum(cur))
             kept = [c for c in full if not dear(c[1], c[2])]
-            assert list(_edge_successors(cur, goal, hi, unpruned,
-                                         dear)) == kept
-            table = _SuccessorTable(cur, goal, hi, unpruned)
+            if ts is not None:
+                assert list(_exhaustive(cur, hi, ts, dear)) == kept
+                continue
+            table = _SuccessorTable(cur, goal, hi)
             assert list(table.ts) == sorted(table.ts)
             assert table.survivors(dear) == kept
             assert table.survivors(_never) == full
-            assert table.survivors(dear) == kept
         assert branches == {(True, True), (True, False), (False, False)}
 
     def test_wide_values_fall_back_to_a_list(self):
         # packed ints past 63 bits are kept in a list, not an array
         cur, goal, hi = (2**20, 0, 3, 0), (0, 2**19, 0, 5), (0, 1, 1, 0)
-        full = list(_edge_successors(cur, goal, hi, False,
-                                     lambda moved, t: False))
-        table = _SuccessorTable(cur, goal, hi, False)
-        assert table.survivors(lambda m, t: False) == full
+        table = _SuccessorTable(cur, goal, hi)
+        assert table.survivors(_never) == list(_structured(cur, goal, hi))
         assert isinstance(table.packed, list)
+
+    def test_table_only_for_structured_keys(self, monkeypatch):
+        # the enumeration picks the path: a structured key builds its table
+        # once and walks it on every visit, an exhaustive key streams on
+        # every visit and builds none
+        built, structured, streamed = [], set(), []
+        table, t_groups = transport._SuccessorTable, transport._t_groups
+
+        def build(cur, goal, hi):
+            built.append((cur, goal, hi))
+            return table(cur, goal, hi)
+
+        def groups(cur, hi, unpruned):
+            ts = t_groups(cur, hi, unpruned)
+            if ts is None:
+                structured.add((cur, hi))
+            else:
+                streamed.append((cur, hi))
+            return ts
+
+        monkeypatch.setattr(transport, "_SuccessorTable", build)
+        monkeypatch.setattr(transport, "_t_groups", groups)
+        H = generate("grid9")
+        mu = lazy_random_walk(H, "x", Fraction(1, 8))
+        nu = lazy_random_walk(H, "y", Fraction(1, 8))
+        assert wh_exact(H, H_LOG, mu, nu).optimality == "exact"
+        assert built and len(built) == len(set(built))
+        assert {(cur, hi) for cur, _, hi in built} == structured
+        # with D <= 6 an edge of five vertices holds at most 210
+        # compositions, so every key streams, repeat visits included
+        built.clear()
+        streamed.clear()
+        rng = random.Random(1717)
+        for _ in range(40):
+            H = random_hypergraph(rng, max_edge_size=5)
+            D = rng.choice((4, 6))
+            mu, nu = (ProbMeasure({H.label(v): Fraction(u, D) for v, u
+                                   in enumerate(TestDualBound._units(
+                                       rng, H.n, D)) if u})
+                      for _ in range(2))
+            wh_exact(H, H_LOG, mu, nu)
+        assert built == []
+        assert len(streamed) > len(set(streamed))
 
 
 def _record(res):
@@ -790,7 +847,45 @@ class TestGolden:
             assert _record(wh_exact(H, h, mu, nu)) == want, seed
 
 
+def _reference_hops(H, src):
+    """The breadth-first tree the seed's routes were once read from, kept
+    verbatim: vertex -> (previous vertex, edge index), chosen
+    lexicographically."""
+    parent = {src: None}
+    frontier = [src]
+    while frontier:
+        nxt = []
+        for v in sorted(frontier):
+            for k in H.incidence[v]:
+                for w in H.edges[k]:
+                    if w not in parent:
+                        parent[w] = (v, k)
+                        nxt.append(w)
+        frontier = nxt
+    return parent
+
+
 class TestHeuristic:
+    def test_routes_match_bfs_tree(self):
+        # walking back from the destination by distances takes the hops of
+        # the breadth-first tree, on every pair of 3,000 random hypergraphs
+        rng = random.Random(1718)
+        pairs = 0
+        for _ in range(3000):
+            H = random_hypergraph(rng, max_vertices=9, max_edges=6,
+                                  max_edge_size=4)
+            for src in range(H.n):
+                tree = _reference_hops(H, src)
+                for dst in range(H.n):
+                    hops, v = [], dst
+                    while v != src:
+                        pv, k = tree[v]
+                        hops.append((pv, v, k))
+                        v = pv
+                    assert _parcel_path(H, src, dst) == hops[::-1]
+                    pairs += 1
+        assert pairs > 80_000
+
     def test_lower_bound_respected(self, rng):
         for _ in range(15):
             H = random_hypergraph(rng)
