@@ -1,18 +1,20 @@
 """The transport kernel's values and dual certificate, and its identity
 with the linear-scan kernel it replaced."""
 
+import math
 import random
 
 import pytest
 
 from hypercurv import kernels
 
-INF = kernels.INF
+INF = math.inf
 
 
 def _reference_solve(supplies, demands, costs, n_src, n_snk):
-    """The linear-scan kernel the heap-ordered one replaced, kept verbatim:
-    every phase runs a full Dijkstra over all nodes."""
+    """The linear-scan kernel the heap-ordered one replaced, kept verbatim
+    but for its sentinel, now `math.inf`: every phase runs a full Dijkstra
+    over all nodes."""
     if sum(supplies) != sum(demands):
         raise ValueError("supplies and demands must balance")
     flow = [0] * (n_src * n_snk)
@@ -112,7 +114,8 @@ def _reference_solve(supplies, demands, costs, n_src, n_snk):
     return total, flow, pot_s, pot_t
 
 
-def random_instance(rng, max_side=6, max_supply=30, max_cost=9, shape=None):
+def random_instance(rng, max_side=6, max_supply=30, max_cost=9, shape=None,
+                    min_cost=0):
     ns, nt = shape or (rng.randint(1, max_side), rng.randint(1, max_side))
     supplies = [rng.randint(0, max_supply) for _ in range(ns)]
     if sum(supplies) == 0:
@@ -120,7 +123,7 @@ def random_instance(rng, max_side=6, max_supply=30, max_cost=9, shape=None):
     total = sum(supplies)
     cuts = sorted(rng.randint(0, total) for _ in range(nt - 1))
     demands = [b - a for a, b in zip([0] + cuts, cuts + [total])]
-    costs = [rng.randint(0, max_cost) for _ in range(ns * nt)]
+    costs = [rng.randint(min_cost, max_cost) for _ in range(ns * nt)]
     return supplies, demands, costs, ns, nt
 
 
@@ -166,6 +169,39 @@ class TestPureKernel:
         with pytest.raises(ValueError, match="nonnegative"):
             kernels.transport_value([1, 1], [1, 1], [0, 1, -1, 0], 2, 2)
 
+    @pytest.mark.parametrize("args", [
+        ([2, -1], [1], [1, 1], 2, 1),  # balances, but ships no supply
+        ([1], [2, -1], [1, 1], 1, 2),
+    ])
+    def test_negative_supply_or_demand_rejected(self, args):
+        with pytest.raises(ValueError, match="nonnegative"):
+            kernels._solve(*args)
+
+    @pytest.mark.parametrize("args", [
+        ([1, 1], [2], [1, 1], 3, 1),  # too few supplies
+        ([1, 1, 1], [3], [1, 1], 2, 1),  # too many supplies
+        ([2], [1, 1], [1, 1], 1, 3),  # too few demands
+        ([1, 1], [1, 1], [1, 1, 1], 2, 2),  # costs too short
+        ([1, 1], [1, 1], [1, 1, 1, 1, 1], 2, 2),  # costs too long
+    ])
+    def test_shape_mismatch_rejected(self, args):
+        with pytest.raises(ValueError, match="need n_src supplies"):
+            kernels._solve(*args)
+
+    @pytest.mark.parametrize("big", [1 << 62, 1 << 70])
+    def test_huge_costs(self, big):
+        # a distance as large as any fixed sentinel stays a distance
+        assert kernels.transport_value([1], [1], [big], 1, 1) == (big, [big])
+        # the second phase reroutes source 0 through a back edge, with
+        # labels up to 2 * big
+        sup, dem = [1, 1], [1, 1]
+        costs = [big, 2 * big,
+                 big, 3 * big]
+        assert kernels._solve(sup, dem, costs, 2, 2) == (
+            3 * big, [0, 1, 1, 0], [0, 0], [big, 2 * big])
+        assert_certificate(sup, dem, costs, 2, 2)
+        assert_same_as_reference(sup, dem, costs, 2, 2)
+
     def test_brute_force_tiny(self):
         # exhaustive check on 2x2 instances against direct enumeration
         rng = random.Random(3)
@@ -209,12 +245,17 @@ class TestPureKernel:
 
 
 class TestAgainstReference:
-    """The heap-ordered kernel settles the same nodes in the same order as
-    the linear scan up to the nearest deficit sink, so it must find the
-    same augmenting paths and return the same flow and potentials."""
+    """Each phase settles the same nodes in the same order as the linear
+    scan up to the deficit sink it stops at: first the nodes at distance 0
+    over the tight edges, then, if no deficit sink is among them, the loose
+    edges of the sources already settled, in the same order, and the rest
+    by the heap.  So it must find the same augmenting paths and return the
+    same flow and potentials."""
 
     def test_seeded_instances(self):
-        # every shape from 1x1 to 10x10; hop-like costs in 0..4 make ties
+        # every shape from 1x1 to 10x10 with costs in 0..4, then every
+        # shape up to 16x16 (the largest curvature instances have about
+        # 240 cells) with hop-like costs in 1..4; small costs make ties
         # frequent, and random_instance draws zero supplies and demands
         rng = random.Random(10)
         for ns in range(1, 11):
@@ -222,6 +263,56 @@ class TestAgainstReference:
                 for _ in range(30):
                     assert_same_as_reference(*random_instance(
                         rng, max_supply=12, max_cost=4, shape=(ns, nt)))
+        rng = random.Random(16)
+        for ns in range(1, 17):
+            for nt in range(1, 17):
+                for _ in range(8):
+                    assert_same_as_reference(*random_instance(
+                        rng, max_supply=12, max_cost=4, shape=(ns, nt),
+                        min_cost=1))
+
+    def test_zero_cost_in_first_phase(self):
+        # With all potentials 0 only a zero cost is tight, so the first
+        # phase searches the tight graph only because of the two zeros:
+        # it reaches sink 1 from source 0 and sink 0 from source 1, and
+        # ends at sink 0, the lowest index, with no potential update.  The
+        # second phase reuses source 0's tight list and ends at sink 1.
+        sup, dem = [2, 1], [1, 2]
+        costs = [1, 0,
+                 0, 1]
+        assert kernels._solve(sup, dem, costs, 2, 2) == (
+            0, [0, 2, 1, 0], [0, 0], [0, 0])
+        assert_same_as_reference(sup, dem, costs, 2, 2)
+
+    def test_resumed_phase_relaxes_in_pop_order(self):
+        # The first phase sends source 0's unit to sink 1 at d* = 2 and
+        # prices both sinks at 2.  In the second phase source 1 reaches
+        # sink 1 at 0, whose back edge reaches source 0 at 0, so the
+        # sources settle at 0 in the order 1, 0; no sink short of demand
+        # is at 0, so the phase goes on to sink 0, which both sources
+        # reach at 1.  Source 1 settled first, so it is sink 0's parent
+        # and the flow runs 1 -> 0; relaxing by index would make it 0 and
+        # move source 0's unit instead, at the same cost.
+        sup, dem = [1, 1], [1, 1]
+        costs = [3, 2,
+                 3, 2]
+        assert kernels._solve(sup, dem, costs, 2, 2) == (
+            5, [0, 1, 1, 0], [0, 0], [3, 2])
+        assert_same_as_reference(sup, dem, costs, 2, 2)
+
+    def test_potential_update_drops_tight_lists(self):
+        # Sources 0 and 1 are tight only to sink 2 while the potentials
+        # are 0.  The second phase reaches sink 0 at d* = 1 and raises
+        # the potentials of sinks 0 and 1 to 1, which makes source 1
+        # tight to sink 0.  The third phase must see that edge and end at
+        # sink 0 from source 1; source 1's old list, [2], would route the
+        # unit through source 0 instead.
+        sup, dem = [2, 2], [2, 1, 1]
+        costs = [1, 1, 0,
+                 1, 3, 0]
+        assert kernels._solve(sup, dem, costs, 2, 3) == (
+            3, [0, 1, 1, 2, 0, 0], [0, 0], [1, 1, 0])
+        assert_same_as_reference(sup, dem, costs, 2, 3)
 
     def test_lowest_index_deficit_sink(self):
         # In the third phase sources 1 and 2 have supply left and sinks 0
