@@ -1,6 +1,8 @@
 """Stepwise-transport plans, bounds, the exact solver and normalization."""
 
+import functools
 import hashlib
+import heapq
 import itertools
 import math
 import random
@@ -39,9 +41,12 @@ from hypercurv.transport import (
     _compositions,
     _envelope,
     _exhaustive,
+    _imbalance,
     _merge_pass,
     _open_groups,
     _parcel_path,
+    _private_bound,
+    _put,
     _search,
     _step_prices,
     _steps_cost,
@@ -50,6 +55,7 @@ from hypercurv.transport import (
     _structured,
     _t_groups,
     _two_paths,
+    _zeroed_terms,
 )
 from hypercurv.wasserstein import w1_units
 
@@ -304,7 +310,7 @@ class TestExact:
             <= 0.6970609473203428
 
     def test_budget_lower_bound_below_optimum(self):
-        # grid9 x,y at 1/4 is exact after 2,224 expansions; every smaller
+        # grid9 x,y at 1/4 is exact after 223 expansions; every smaller
         # budget certifies a bound between h(1) * W1 and the optimum.  The
         # greedy seed is optimal here, so the pinned values, the least
         # open keys, show that the bound does not just trail the incumbent.
@@ -313,10 +319,10 @@ class TestExact:
         nu = lazy_random_walk(H, "y", Fraction(1, 4))
         optimum = 0.5784946823875035
         floor = H_LOG.h1 * float(w1(H, mu, nu)[0])
-        pinned = {5: 0.515696553999773, 500: 0.5668440651671586,
-                  1500: 0.5757207555043686}
+        pinned = {5: 0.5346484794158003, 50: 0.5550320214455002,
+                  150: 0.5714258312214225}
         bounds = []
-        for budget in (1, 5, 50, 500, 1500, 2223):
+        for budget in (1, 5, 50, 150, 200, 222):
             res = wh_exact(H, H_LOG, mu, nu, max_states=budget)
             assert res.optimality == "heuristic-upper-bound"
             assert floor < res.lower_bound <= optimum <= res.value + 1e-12
@@ -325,7 +331,7 @@ class TestExact:
                                                         abs=1e-12)
             bounds.append(res.lower_bound)
         assert bounds == sorted(bounds)
-        res = wh_exact(H, H_LOG, mu, nu, max_states=2224)
+        res = wh_exact(H, H_LOG, mu, nu, max_states=223)
         assert res.optimality == "exact"
         assert res.lower_bound == floor
 
@@ -333,9 +339,10 @@ class TestExact:
         # The step into the goal is tight for the envelope bound (inside a
         # hyperedge W1 is the moved mass m <= 1, and envelope(m) = h(m)), so
         # the goal is popped right after it is pushed.  Half the envelope is
-        # still admissible and leaves states to expand in between: on grid9
-        # x,y at 1/8 the goal is pushed by expansion 1,185 and popped at
-        # 15,985, so a budget of 1,500 runs out with the goal on the heap.
+        # still admissible and leaves states to expand in between (the
+        # private-vertex bound, built on the envelope, halves with it): on
+        # grid9 x,y at 1/8 the goal is pushed by expansion 1,185 and popped
+        # at 12,110, so a budget of 1,500 runs out with the goal on the heap.
         envelope = transport._envelope
         monkeypatch.setattr(transport, "_envelope",
                             lambda h1, price, w, D:
@@ -562,7 +569,9 @@ class TestDualBound:
     def test_grid9_kernel_calls_pinned(self, monkeypatch):
         # a popped state that a bundle potential prunes costs no W1 solve,
         # and the start's one solve also gives the greedy seed its flows:
-        # 2,226 kernel solves where pricing every pop makes 13,367
+        # under log at 1/4, 225 kernel solves where pricing every pop makes
+        # 561.  Before the private-vertex bound the two searches expanded
+        # 2,224 and 6,156 states.
         calls = []
         solve = kernels._solve
 
@@ -572,12 +581,16 @@ class TestDualBound:
 
         monkeypatch.setattr(kernels, "_solve", counted)
         H = generate("grid9")
-        mu = lazy_random_walk(H, "x", Fraction(1, 4))
-        nu = lazy_random_walk(H, "y", Fraction(1, 4))
-        res = wh_exact(H, H_LOG, mu, nu)
-        assert res.optimality == "exact"
-        assert res.states_expanded == 2224
-        assert len(calls) == 2226
+        for h, alpha, expanded, solves in [
+                (H_LOG, Fraction(1, 4), 223, 225),
+                (H_TRUNC, Fraction(1, 2), 176, 176)]:
+            calls.clear()
+            mu = lazy_random_walk(H, "x", alpha)
+            nu = lazy_random_walk(H, "y", alpha)
+            res = wh_exact(H, h, mu, nu)
+            assert res.optimality == "exact"
+            assert res.states_expanded == expanded
+            assert len(calls) == solves
 
     @pytest.mark.parametrize("alpha,value", [
         (Fraction(1, 8), 0.5149524668774486),
@@ -736,6 +749,201 @@ class TestSuccessorTable:
         assert len(streamed) > len(set(streamed))
 
 
+COSTS = (H_LOG, H_TRUNC, H_LIN, ConcaveCost("power", a=Fraction(1, 2)),
+         ConcaveCost("trunc_log_combo", a=Fraction(1, 2)),
+         ConcaveCost("tabulated", points=[(0, 0), (Fraction(1, 4), 0.4),
+                                          (Fraction(1, 2), 0.6), (1, 0.8)]))
+
+
+def _spread(total, k):
+    """Every k-tuple of non-negative integers summing to total."""
+    if k == 1:
+        yield (total,)
+        return
+    for first in range(total + 1):
+        for rest in _spread(total - first, k - 1):
+            yield (first,) + rest
+
+
+def _distances_to(H, h, goal, D):
+    """The cheapest plan cost to goal from every state on the grid of
+    1/D: Dijkstra from goal over every redistribution of every
+    hyperedge, with no bound at all.  A step reversed moves the same
+    mass, so distances from goal are distances to it."""
+    price = [h.eval(Fraction(m, D)) for m in range(D + 1)]
+    dist, done = {goal: 0.0}, set()
+    heap = [(0.0, goal)]
+    while heap:
+        d, state = heapq.heappop(heap)
+        if state in done:
+            continue
+        done.add(state)
+        for edge in H.edges:
+            cur = [state[v] for v in edge]
+            for new in _spread(sum(cur), len(edge)):
+                moved = sum(max(n - c, 0) for n, c in zip(new, cur))
+                if not moved:
+                    continue
+                child = list(state)
+                for v, n in zip(edge, new):
+                    child[v] = n
+                child = tuple(child)
+                if d + price[moved] < dist.get(child, math.inf):
+                    dist[child] = d + price[moved]
+                    heapq.heappush(heap, (dist[child], child))
+    return dist
+
+
+def _private_vertices(H):
+    return [tuple(v for v in e if len(H.incidence[v]) == 1) for e in H.edges]
+
+
+def _as_measure(H, units, D):
+    return ProbMeasure({H.label(v): Fraction(u, D)
+                        for v, u in enumerate(units) if u})
+
+
+class TestPrivateBound:
+    """The private-vertex bound wh_exact prunes on (see _private_bound)."""
+
+    @staticmethod
+    def _instances(seed, count):
+        # hypergraphs of up to six vertices, D = 2..4; half the goals and
+        # starts sit on two vertices, which puts mass two or more hops apart
+        rng = random.Random(seed)
+        for n in range(count):
+            H = random_hypergraph(rng, max_vertices=6)
+            D = rng.randint(2, 4)
+            if n % 2:
+                ends = []
+                for _ in range(2):
+                    units = [0] * H.n
+                    a, b = rng.sample(range(H.n), 2)
+                    units[a] = rng.randint(0, D)
+                    units[b] = D - units[a]
+                    ends.append(tuple(units))
+            else:
+                ends = [tuple(TestDualBound._units(rng, H.n, D))
+                        for _ in range(2)]
+            yield H, COSTS[n % len(COSTS)], D, ends[0], ends[1]
+
+    def test_admissible(self):
+        # lb(L(state), W1(state)) never exceeds the cheapest plan from the
+        # state, nor does the bound each child on edge k is tested with:
+        # L_k set to 0 (dear) or to the child's own L_k (push), with the
+        # dual bound W1 + t.  Instances where W1 exceeds one unit of mass
+        # and the cap D - L* binds are counted, as are states where the
+        # bound beats the envelope.
+        capped = stronger = 0
+        for H, h, D, start, goal in self._instances(9000, 150):
+            tol = COST_TOL * h.h1
+            env = functools.cache(
+                lambda w: _envelope(h.h1, _step_prices(h, D), w, D))
+            dist = _distances_to(H, h, goal, D)
+            private = _private_vertices(H)
+            rng = random.Random(D)
+            sample = {start, *rng.sample(sorted(dist), 6)}
+            for state in sorted(dist):
+                w1u, f = w1_units(H, state, goal)
+                L = [_imbalance(state, goal, p) for p in private]
+                zeroed = _zeroed_terms(env, L)
+                terms = _put(env, zeroed[0], L[0])
+                total, top, _ = terms
+                lb = _private_bound(env, D, terms, w1u)
+                assert lb <= dist[state] + tol
+                capped += w1u > D and w1u - total > D - top > 0
+                stronger += lb > env(w1u) + tol
+                if state not in sample:
+                    continue
+                for k, edge in enumerate(H.edges):
+                    cur = [state[v] for v in edge]
+                    for new in _spread(sum(cur), len(edge)):
+                        child = list(state)
+                        for v, n in zip(edge, new):
+                            child[v] = n
+                        child = tuple(child)
+                        w = max(w1u + sum(f[v] * (child[v] - state[v])
+                                          for v in edge), 0)
+                        assert _private_bound(env, D, zeroed[k], w) \
+                            <= dist[child] + tol
+                        own = _imbalance(child, goal, private[k])
+                        assert _private_bound(env, D,
+                                              _put(env, zeroed[k], own),
+                                              w) <= dist[child] + tol
+        assert capped >= 50 and stronger >= 400
+
+    def test_terms_match_their_definition(self):
+        # (sum, largest, envelope summed over all but one largest) of L
+        # with one entry set to 0, and with that entry set to c
+        rng = random.Random(9001)
+        env = functools.cache(lambda w: _envelope(
+            H_LOG.h1, _step_prices(H_LOG, 12), w, 12))
+        for _ in range(300):
+            L = [rng.choice((0, rng.randint(0, 12)))
+                 for _ in range(rng.randint(1, 6))]
+            zeroed = _zeroed_terms(env, L)
+            for k in range(len(L)):
+                c = rng.randint(0, 12)
+                for value, terms in ((0, zeroed[k]),
+                                     (c, _put(env, zeroed[k], c))):
+                    M = L[:k] + [value] + L[k + 1:]
+                    total, top, rest = terms
+                    assert (total, top) == (sum(M), max(M))
+                    assert rest == pytest.approx(
+                        sum(map(env, M)) - env(max(M)), abs=1e-12)
+
+    def test_dear_is_monotone(self, monkeypatch):
+        # every dear the search hands to a stream or a table walk (both
+        # skip groups through _open_groups) is nondecreasing in moved and
+        # in t, on a grid over [0, D] x [-D, D]
+        grid_of, seen = [None], []
+        open_groups = transport._open_groups
+
+        def spy(ts, dear):
+            moved_range, t_range = grid_of[0]
+            grid = [[dear(moved, t) for t in t_range] for moved in moved_range]
+            for row, nxt in zip(grid, grid[1:]):
+                assert all(a <= b for a, b in zip(row, nxt))
+            for row in grid:
+                assert row == sorted(row)
+            seen.append(any(map(any, grid)) and not all(map(all, grid)))
+            return open_groups(ts, dear)
+
+        monkeypatch.setattr(transport, "_open_groups", spy)
+        H = generate("grid9")
+        mu = lazy_random_walk(H, "x", Fraction(1, 4))
+        nu = lazy_random_walk(H, "y", Fraction(1, 4))
+        D = common_denominator([mu, nu])
+        grid_of[0] = range(0, D + 1, D // 12), range(-D, D + 1, D // 12)
+        wh_exact(H, H_LOG, mu, nu)
+        for H, h, D, start, goal in self._instances(9002, 60):
+            mu, nu = _as_measure(H, start, D), _as_measure(H, goal, D)
+            D = common_denominator([mu, nu])
+            grid_of[0] = range(D + 1), range(-D, D + 1)
+            wh_exact(H, h, mu, nu)
+        assert sum(seen) >= 100
+
+    def test_matches_unpruned_and_oracle(self):
+        # values and statuses of 1,200 instances over all six cost
+        # families match the exhaustive enumeration (unpruned=True), and
+        # every fourth the plain Dijkstra over the grid, within
+        # COST_TOL * h(1)
+        for n, (H, h, D, start, goal) in enumerate(
+                self._instances(9003, 1200)):
+            mu, nu = _as_measure(H, start, D), _as_measure(H, goal, D)
+            fast = wh_exact(H, h, mu, nu)
+            full = wh_exact(H, h, mu, nu, unpruned=True)
+            assert fast.optimality == full.optimality == "exact"
+            tol = COST_TOL * h.h1
+            assert fast.value == pytest.approx(full.value, abs=tol)
+            if n % 4 == 0:
+                D_grid = fast.quantization
+                goal_grid = tuple(u * D_grid // D for u in goal)
+                start_grid = tuple(u * D_grid // D for u in start)
+                dist = _distances_to(H, h, goal_grid, D_grid)
+                assert fast.value == pytest.approx(dist[start_grid], abs=tol)
+
+
 def _record(res):
     return (repr(res.value), res.optimality, repr(res.lower_bound),
             res.states_expanded, res.quantization,
@@ -745,18 +953,20 @@ def _record(res):
 class TestGolden:
     """wh_exact outputs recorded before the search reused successor tables.
     Pushing children in another order breaks ties differently, which shows
-    in the plan, the expansion count or both."""
+    in the plan, the expansion count or both.  The expansion counts were
+    recorded again when the search began to prune on the private-vertex
+    bound, which changed no other field."""
 
     @pytest.mark.parametrize("h,alpha,want", [
         (H_LOG, Fraction(1, 8),
          ("0.5149524668774486", "exact", "0.38989528906496923",
-          108, 192, "ab28de9d089487a4")),
+          40, 192, "ab28de9d089487a4")),
         (H_LOG, Fraction(1, 2),
          ("0.6590961868185703", "exact", "0.5198603854199589",
-          2061, 48, "616f275d4c14ab51")),
+          262, 48, "616f275d4c14ab51")),
         (H_TRUNC, Fraction(1, 2),
          ("0.7499999999999999", "exact", "0.375",
-          6156, 48, "85e07f2e613343b6")),
+          176, 48, "85e07f2e613343b6")),
     ])
     def test_grid9(self, h, alpha, want):
         H = generate("grid9")
@@ -764,39 +974,40 @@ class TestGolden:
         nu = lazy_random_walk(H, "y", alpha)
         assert _record(wh_exact(H, h, mu, nu)) == want
 
-    # seed -> record: the first 30 seeds whose search expands at least four
-    # states, and 877, the one seed below 1500 whose plan changes when a
-    # table walk pushes its children in reverse
+    # seed -> record: the first 30 seeds whose search expanded at least
+    # four states before the private-vertex bound, and 877, the one seed
+    # below 1500 whose plan changes when a table walk pushes its children
+    # in reverse
     SMALL = {
-        4: ("0.8517522107365838", "exact", "0.6931471805599453", 4, 4,
+        4: ("0.8517522107365838", "exact", "0.6931471805599453", 1, 4,
             "c8b66fd1cd0707e8"),
-        92: ("1.0479685558493548", "exact", "0.9241962407465937", 14, 6,
+        92: ("1.0479685558493548", "exact", "0.9241962407465937", 1, 6,
              "9569edc22b0492d7"),
-        95: ("1.1666666666666667", "exact", "0.6666666666666666", 16, 6,
+        95: ("1.1666666666666667", "exact", "0.6666666666666666", 3, 6,
              "58588602a5b352d2"),
         97: ("1.0", "exact", "0.625", 8, 4,
              "ce200fdc997e5b78"),
-        120: ("0.6359887667199967", "exact", "0.5198603854199589", 15, 12,
+        120: ("0.6359887667199967", "exact", "0.5198603854199589", 1, 12,
               "a602819f61ce2ecf"),
         129: ("1.25", "exact", "0.875", 6, 4,
               "cb3989f433697ffe"),
-        152: ("1.229046441878052", "exact", "1.0397207708399179", 18, 4,
+        152: ("1.229046441878052", "exact", "1.0397207708399179", 10, 4,
               "bf367eb0e54ca4ab"),
-        171: ("1.0", "exact", "0.5", 9, 4,
+        171: ("1.0", "exact", "0.5", 1, 4,
               "513a6895588c4f03"),
-        185: ("0.8333333333333333", "exact", "0.4166666666666667", 5, 6,
+        185: ("0.8333333333333333", "exact", "0.4166666666666667", 1, 6,
               "ab0bbf32de618a56"),
-        193: ("0.8333333333333333", "exact", "0.4166666666666667", 19, 6,
+        193: ("0.8333333333333333", "exact", "0.4166666666666667", 1, 6,
               "092f74a6b341fa95"),
         214: ("0.8517522107365838", "exact", "0.6931471805599453", 9, 4,
               "47969ea88257ba12"),
-        227: ("1.0", "exact", "0.625", 28, 12,
+        227: ("1.0", "exact", "0.625", 1, 12,
               "b86e64423d4e2b12"),
-        232: ("1.1169614273363062", "exact", "1.0397207708399179", 9, 6,
+        232: ("1.1169614273363062", "exact", "1.0397207708399179", 1, 6,
               "0023c78aa4c10f29"),
-        235: ("1.0", "exact", "0.5", 4, 4,
+        235: ("1.0", "exact", "0.5", 1, 4,
               "1aa10e1ae2b1eff7"),
-        267: ("1.1666666666666665", "exact", "0.6666666666666666", 396, 12,
+        267: ("1.1666666666666665", "exact", "0.6666666666666666", 152, 12,
               "7af986b993117cb3"),
         320: ("1.005902890563842", "exact", "0.8664339756999316", 7, 4,
               "e0e2f06181112e67"),
@@ -804,29 +1015,29 @@ class TestGolden:
               "ca184f942672dd39"),
         362: ("0.8517522107365838", "exact", "0.6931471805599453", 6, 4,
               "58eaaf2544a2205c"),
-        375: ("1.0", "exact", "0.5", 6, 4,
+        375: ("1.0", "exact", "0.5", 1, 4,
               "9280accb72b8e3a2"),
-        386: ("0.7827593392496324", "exact", "0.6931471805599453", 5, 12,
+        386: ("0.7827593392496324", "exact", "0.6931471805599453", 1, 12,
               "c2beaf54ee36f027"),
-        412: ("0.9808292530117262", "exact", "0.8086717106532696", 24, 6,
+        412: ("0.9808292530117262", "exact", "0.8086717106532696", 16, 6,
               "26b82617e7832f1b"),
         421: ("0.75", "exact", "0.4166666666666667", 80, 12,
               "8157c3e61d257aa1"),
-        425: ("1.0833333333333333", "exact", "0.5833333333333334", 858, 12,
+        425: ("1.0833333333333333", "exact", "0.5833333333333334", 1, 12,
               "603be362d34a4f66"),
-        444: ("0.8109302162163288", "exact", "0.6931471805599453", 7, 6,
+        444: ("0.8109302162163288", "exact", "0.6931471805599453", 1, 6,
               "732b8b729a27ff9e"),
-        456: ("0.8109302162163288", "exact", "0.6931471805599453", 7, 4,
+        456: ("0.8109302162163288", "exact", "0.6931471805599453", 1, 4,
               "014d608ac5b8e94c"),
-        462: ("0.8191269834205073", "exact", "0.6931471805599453", 14, 6,
+        462: ("0.8191269834205073", "exact", "0.6931471805599453", 11, 6,
               "1ac9e89ae048f160"),
-        478: ("0.6931471805599453", "exact", "0.5776226504666211", 11, 12,
+        478: ("0.6931471805599453", "exact", "0.5776226504666211", 1, 12,
               "500cc2564539357a"),
-        485: ("1.0", "exact", "0.5", 8, 4,
+        485: ("1.0", "exact", "0.5", 1, 4,
               "182337e92fb39f1a"),
-        487: ("0.75", "exact", "0.375", 5, 12,
+        487: ("0.75", "exact", "0.375", 1, 12,
               "cb41ae8330c4ed1b"),
-        503: ("1.0", "exact", "0.5", 5, 6,
+        503: ("1.0", "exact", "0.5", 1, 6,
               "187f7e76d744e10a"),
         877: ("0.9999999999999999", "exact", "0.5833333333333334", 1096, 12,
               "6d7d110a90d47db2"),
