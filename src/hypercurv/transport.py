@@ -48,7 +48,6 @@ import itertools
 import json
 import math
 import operator
-from array import array
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -414,9 +413,9 @@ def _exhaustive(cur, hi, ts, dear):
                     yield tuple(map(stacked.__getitem__, place)), moved, t
 
 
-def _structured(cur, goal, hi):
-    """(new values, moved, t) of every child of the structured family, in
-    generation order, each tuple once.
+def _structured(cur, goal, hi, dear):
+    """(new values, moved, t) of every child of the structured family that
+    `dear(moved, t)` keeps, in generation order, each tuple once.
 
     A hyperedge of three or more vertices whose mass has more than
     FULL_ENUM_LIMIT compositions uses this family instead of the
@@ -425,14 +424,43 @@ def _structured(cur, goal, hi):
     and one vertex absorbs the balance; or one source fills targets
     exactly to goal and keeps the rest.  The family contains every step
     of the worked optimal plans; the unpruned flag restores ground truth.
-    moved and t are as in _exhaustive, and both are fixed by a child's
-    values, so a tuple that recurs recurs with the same pair.
+    moved and t are as in _exhaustive.
+
+    `dear` must be nondecreasing in both arguments, as the search's test
+    is (see _exhaustive), and three bounds drop dear children untried.
+    New values are at least 0, so every child has t >= t_low =
+    -sum(hi * cur).  Bisection finds cap, the largest m with
+    dear(m, t_low) false, and a child that moves more than cap is dear,
+    as dear(moved, t) >= dear(cap + 1, t_low).  A source s frees at least
+    least[s] (all of cur[s], or what lies above its goal value), so a
+    source set whose least[s] sum past cap is skipped.  A batch frees
+    `freed` with drain t_drain, and filling targets and piling the rest
+    add hi * gain >= 0 to t, so each of its children has moved = freed
+    and t >= t_drain: the batch is skipped when dear(freed, t_drain).
+    Each remaining child is tested on its own.  moved and t are fixed by
+    a child's values, so a tuple that recurs recurs with the same pair:
+    a dear tuple is dropped at every occurrence, and a kept tuple is
+    kept at its first.  The stream is thus the whole family filtered by
+    dear, in the same order.
     """
-    seen = set()
     k = len(cur)
     idx = range(k)
+    t_low = -sum(map(operator.mul, hi, cur))
+    cap, top = 0, sum(cur)
+    while cap < top:
+        mid = (cap + top + 1) // 2
+        if dear(mid, t_low):
+            top = mid - 1
+        else:
+            cap = mid
+    if not cap:
+        return
+    seen = set()
     pos = [i for i in idx if cur[i] > 0]
     deficits = [i for i in idx if goal[i] > cur[i]]
+    # the least each source frees: down to its goal value, or all of it
+    least = [cur[i] - goal[i] if 0 < goal[i] < cur[i] else cur[i]
+             for i in idx]
     # what filling vertex i to its goal adds to t
     fill_t = [hi[i] * (goal[i] - cur[i]) for i in idx]
     # batching moves: a source set drains to zero or to its goal value; the
@@ -440,6 +468,8 @@ def _structured(cur, goal, hi):
     # on one residual vertex
     for r in range(1, len(pos) + 1):
         for S in itertools.combinations(pos, r):
+            if sum([least[s] for s in S]) > cap:
+                continue
             opts = []
             for s in S:
                 o = {0}
@@ -449,10 +479,12 @@ def _structured(cur, goal, hi):
             fill_cand = [t for t in deficits if t not in S]
             for drains in itertools.product(*opts):
                 freed = sum(cur[s] - dv for s, dv in zip(S, drains))
-                if freed <= 0:
+                if freed <= 0 or freed > cap:
                     continue
                 t_drain = sum(hi[s] * (dv - cur[s])
                               for s, dv in zip(S, drains))
+                if dear(freed, t_drain):
+                    continue
                 for nfill in range(len(fill_cand) + 1):
                     for T in itertools.combinations(fill_cand, nfill):
                         need = sum(goal[t] - cur[t] for t in T)
@@ -467,6 +499,8 @@ def _structured(cur, goal, hi):
                                 continue
                             t_child = t_fill + (
                                 0 if resid is None else hi[resid] * rest)
+                            if dear(freed, t_child):
+                                continue
                             new = list(cur)
                             for s, dv in zip(S, drains):
                                 new[s] = dv
@@ -484,8 +518,10 @@ def _structured(cur, goal, hi):
         for r in range(1, len(cand) + 1):
             for T in itertools.combinations(cand, r):
                 need = sum(goal[t] - cur[t] for t in T)
-                if 0 < need <= cur[s]:
+                if 0 < need <= min(cur[s], cap):
                     t_child = sum(fill_t[t] for t in T) - hi[s] * need
+                    if dear(need, t_child):
+                        continue
                     new = list(cur)
                     for t in T:
                         new[t] = goal[t]
@@ -494,74 +530,6 @@ def _structured(cur, goal, hi):
                     if tup not in seen:
                         seen.add(tup)
                         yield tup, need, t_child
-
-
-class _SuccessorTable:
-    """A structured key's successors (see _structured), built whole on the
-    key's first visit and walked on every visit of one _search call.
-
-    The key is an edge's local values, local goal and potential pattern
-    hi, which fix its successors.  Each child is packed into one int, most
-    significant field first: moved, index in the family, new values.  The
-    children of a t group form one sorted run, so a run is ordered by
-    moved, which orders it by h(moved) as h is nondecreasing, and then by
-    generation.  The groups are kept in ascending t, so _open_groups
-    applies to them as to the exhaustive enumeration.  The runs share one
-    array('q'), a list when an int needs more than 63 bits, so a child
-    costs about 8 bytes and a group 16.
-    """
-
-    __slots__ = ("ts", "spans", "packed", "k", "vbits", "lbits")
-
-    def __init__(self, cur, goal, hi):
-        self.k = k = len(cur)
-        M = sum(cur)
-        vbits = self.vbits = max(M, 1).bit_length()
-        # a child's index in the family is below its composition count
-        lbits = self.lbits = (k * vbits
-                              + math.comb(M + k - 1, k - 1).bit_length())
-        runs = {}
-        for n, (new, moved, t) in enumerate(_structured(cur, goal, hi)):
-            low = n
-            for v in reversed(new):
-                low = low << vbits | v
-            run = runs.get(t)
-            if run is None:
-                run = runs[t] = []
-            run.append(moved << lbits | low)
-        packed = self.packed = ([] if M.bit_length() + lbits > 63
-                                else array("q"))
-        # group ts[i] is packed[spans[i]:spans[i + 1]]
-        self.ts = array("q", sorted(runs))
-        self.spans = array("q", [0])
-        for t in self.ts:
-            packed.extend(sorted(runs[t]))
-            self.spans.append(len(packed))
-
-    def survivors(self, dear):
-        """(new values, moved, t), in generation order, of every child that
-        `dear(moved, t)` keeps.
-
-        `dear` must be nondecreasing in both arguments, as the search's
-        test is (its step prices and envelope are nondecreasing).  Only
-        the groups _open_groups keeps are walked, and the walk of a group,
-        in nondecreasing moved, stops at its first dear child.
-        """
-        packed, spans, lbits, ts = self.packed, self.spans, self.lbits, self.ts
-        lmask = (1 << lbits) - 1
-        found = []
-        for i in _open_groups(ts, dear):
-            t = ts[i]
-            for j in range(spans[i], spans[i + 1]):
-                moved = packed[j] >> lbits
-                if dear(moved, t):
-                    break
-                found.append((packed[j] & lmask, moved, t))
-        found.sort()
-        vbits, vmask = self.vbits, (1 << self.vbits) - 1
-        shifts = range(0, self.k * vbits, vbits)
-        return [(tuple([low >> s & vmask for s in shifts]), moved, t)
-                for low, moved, t in found]
 
 
 def wh_exact(H: Hypergraph, h: ConcaveCost, mu: ProbMeasure, nu: ProbMeasure,
@@ -581,9 +549,10 @@ def wh_exact(H: Hypergraph, h: ConcaveCost, mu: ProbMeasure, nu: ProbMeasure,
     explores strictly cheaper plans; one kernel solve of the start's W1
     gives both the seed's flows and the start's potential.  When the goal
     is popped, or the frontier drains without reaching it, the incumbent
-    is optimal, and lower_bound is h(1) * W1.  Once more than max_states
-    states are expanded the best plan found so far is returned with
-    optimality "heuristic-upper-bound".  Every cheaper plan then passes an
+    is optimal, and lower_bound is h(1) * W1.  Once max_states states are
+    expanded, the next state to expand ends the search instead: the best
+    plan found so far is returned with optimality "heuristic-upper-bound"
+    and states_expanded = max_states.  Every cheaper plan then passes an
     open state (the one popped last, unexpanded, or one on the heap) whose
     key bounds it from below, so lower_bound is the least open key, capped
     by the incumbent, less the slack, and never below h(1) * W1.
@@ -602,26 +571,26 @@ def wh_exact(H: Hypergraph, h: ConcaveCost, mu: ProbMeasure, nu: ProbMeasure,
     incumbent, where lb, the private-vertex bound below, is at least the
     envelope.  The step prices h(m / D) and lb are nondecreasing, so dear
     is nondecreasing in both moved and t, and the successors are found
-    on that contract: a whole range of t groups whose cheapest possible
-    child is too dear is skipped untried, and each open group is walked
-    or enumerated only up to the first moved mass that is too dear.
-    Exactly the children that dear keeps come out.
+    on that contract: the exhaustive enumeration skips untried a whole
+    range of t groups whose cheapest possible child is too dear and
+    enumerates each open group only up to the first moved mass that is
+    too dear, and the structured family caps moved once for all its
+    children.  Exactly the children that dear keeps come out.
 
-    Which path serves a key (an edge's local values, local goal and
-    potential pattern) is decided by its enumeration, as _t_groups names
-    it.  An exhaustive key streams _exhaustive on every visit and builds
-    nothing: each open group is capped on moved by bisection, and the
-    compositions are cut at the cap.  A structured key builds its
-    _SuccessorTable whole on its first visit and walks it on every
-    visit: the range skip picks its open t groups, each sorted by moved,
-    and a group's walk stops at its first child that is too dear.  The
-    walk's survivors are pushed in generation order, each tested again
-    against the incumbent of the moment, so the search pushes the same
-    children in the same order as a plain stream of the family.  Tables
-    live inside one call.  On grid9 x,y under log at alpha = 1/8, 1/4
-    and 1/2, 68% of the key visits are structured; an instance whose
-    edges never hold more than FULL_ENUM_LIMIT compositions builds no
-    table.
+    Which enumeration serves a key (an edge's local values, local goal
+    and potential pattern) is named by _t_groups, and either one streams
+    on every visit and keeps nothing between visits.  An exhaustive key
+    streams _exhaustive: each open group is capped on moved by
+    bisection, and the compositions are cut at the cap.  A structured
+    key streams _structured: one bisection at the least t any child can
+    have caps moved for the whole family, source sets that must free
+    more than the cap are skipped untried, and the rest is tested by
+    batch and by child.  A structured visit lists its survivors before
+    pushing any, so dear is asked at the visit's incumbent; each
+    survivor is then tested again against the incumbent of the moment.
+    On grid9 x,y under log at alpha = 1/8, 1/4 and 1/2, 1,574 of the
+    2,100 key visits (75%) are structured; an instance whose edges never
+    hold more than FULL_ENUM_LIMIT compositions uses no structured key.
 
     A popped child is tested before its W1 solve against the bundle: the
     distinct potentials of this call's solves, the one that last pruned
@@ -686,22 +655,21 @@ def _search(H, h, mu, nu, D, max_states, unpruned):
         plan = TransportPlan(mu, nu, ())
         return WhResult(0.0, plan, "exact", 0.0, 0, D)
 
-    greedy_plan, incumbent_g = _seed(H, h, mu, nu, D, start, flows)
+    # Costs scale with h(1), and so do the comparison slacks and the
+    # rounding of the heap keys: h and a*h get the same search.
+    tol, slack = COST_TOL * h1, 1e-15 * h1
+    # the one memo of step prices, shared by the seed and the search
+    cost_of = _step_prices(h, D)
+    greedy_plan, incumbent_g = _seed(H, mu, nu, D, start, flows, cost_of,
+                                     tol)
 
     edge_lists = [tuple(e) for e in H.edges]
     goal_by_edge = [tuple(goal[v] for v in e) for e in edge_lists]
     # per edge, its private vertices: those in no other edge
     private = [tuple([v for v in e if len(H.incidence[v]) == 1])
                for e in edge_lists]
-    cost_of = _step_prices(h, D)
     env_of = functools.cache(lambda w: _envelope(h1, cost_of, w, D))
 
-    # Costs scale with h(1), and so do the comparison slacks and the
-    # rounding of the heap keys: h and a*h get the same search.
-    tol, slack = COST_TOL * h1, 1e-15 * h1
-
-    # structured key -> its _SuccessorTable
-    tables = {}
     g_best = {start: 0.0}
     parents = {start: None}
     closed = set()
@@ -751,9 +719,7 @@ def _search(H, h, mu, nu, D, max_states, unpruned):
                                       state, g, True, true_units, pot))
                 continue
             w1u = true_units
-        closed.add(state)
-        expanded += 1
-        if expanded > max_states:
+        if expanded >= max_states:
             # Every plan cheaper than the incumbent passes an open state:
             # this one, unexpanded, or one on the heap.  Keys are in units
             # of h(1) and bound the plans through their states from below.
@@ -761,6 +727,8 @@ def _search(H, h, mu, nu, D, max_states, unpruned):
             lower = max(lower, min(incumbent_g, h1 * open_key) - tol)
             exhausted = True
             break
+        closed.add(state)
+        expanded += 1
 
         # the test of a visit of edge k: its private imbalance set to 0
         def dear(moved, t):
@@ -776,12 +744,8 @@ def _search(H, h, mu, nu, D, max_states, unpruned):
             hi = tuple([pot[v] - base for v in edge])
             ts = _t_groups(cur, hi, unpruned)
             if ts is None:
-                key = (cur, goal_by_edge[k], hi)
-                table = tables.get(key)
-                if table is None:
-                    table = tables[key] = _SuccessorTable(
-                        cur, goal_by_edge[k], hi)
-                children = table.survivors(dear)
+                # listed whole, so dear is asked at this visit's incumbent
+                children = list(_structured(cur, goal_by_edge[k], hi, dear))
             else:
                 children = _exhaustive(cur, hi, ts, dear)
             for new_vals, moved, t in children:
@@ -868,14 +832,17 @@ def wh_heuristic(H: Hypergraph, h: ConcaveCost, mu: ProbMeasure,
     D = common_denominator([mu, nu])
     start = quantize(H, mu, D)
     total, flows = w1_flows(H, start, quantize(H, nu, D))
-    plan, value = _seed(H, h, mu, nu, D, start, flows)
+    plan, value = _seed(H, mu, nu, D, start, flows, _step_prices(h, D),
+                        COST_TOL * h.h1)
     return WhResult(value, plan, "heuristic-upper-bound",
                     h.h1 * float(Fraction(total, D)), 0, D)
 
 
-def _seed(H, h, mu, nu, D, start, flows):
+def _seed(H, mu, nu, D, start, flows, price, tol):
     """(plan, plan_cost) of wh_heuristic from the W1 flows (x id, y id,
-    units) from start to nu on the grid of 1/D."""
+    units) from start to nu on the grid of 1/D, priced by the step prices
+    `price` (see _step_prices) with merges kept when cheaper by more than
+    tol."""
     if not flows:
         return TransportPlan(mu, nu, ()), 0.0
 
@@ -906,8 +873,7 @@ def _seed(H, h, mu, nu, D, start, flows):
                                for (a, b), m in sorted(combined.items()))))
 
     holdings = {H.label(v): u for v, u in enumerate(start) if u}
-    steps, value = _merge_pass(holdings, steps, _step_prices(h, D),
-                               COST_TOL * h.h1)
+    steps, value = _merge_pass(holdings, steps, price, tol)
     plan = TransportPlan(mu, nu, tuple(
         TransportStep(k, tuple((a, b, Fraction(m, D)) for a, b, m in moves))
         for k, moves in steps))

@@ -123,6 +123,22 @@ class TestWh:
         assert plan_cost(H, h, plan) == pytest.approx(float(row["wh"]),
                                                       abs=1e-9)
 
+    def test_states_column_counts_expansions(self, grid9_file, capsys):
+        # grid9 x,y under log at 1/4 is exact after 223 expansions; a
+        # smaller budget reports the states it expanded, not one more
+        for budget, states, status in [(1, 1, "heuristic-upper-bound"),
+                                       (5, 5, "heuristic-upper-bound"),
+                                       (222, 222, "heuristic-upper-bound"),
+                                       (223, 223, "exact"),
+                                       (None, 223, "exact")]:
+            args = ["wh", grid9_file, "--h", LOG1, "--pair", "x,y",
+                    "--alpha", "1/4", "--format", "json"]
+            if budget is not None:
+                args += ["--max-states", str(budget)]
+            assert main(args) == 0
+            (row,) = json.loads(capsys.readouterr().out)
+            assert (row["states"], row["wh_status"]) == (states, status)
+
     def test_alpha_required(self, grid9_file):
         with pytest.raises(SystemExit) as exc:
             main(["wh", grid9_file, "--h", LOG1, "--pair", "x,y"])

@@ -247,8 +247,10 @@ class TestHlly:
 
     def test_complete_three_work_pinned(self, monkeypatch):
         # a range of t groups whose cheapest child is too dear is skipped
-        # whole, so the eight solves (D up to 2,048) evaluate h 327 times,
-        # where testing every t group on its own took 4,080
+        # whole, and the greedy seed prices its steps from the search's
+        # memo, so the eight solves (D up to 2,048) evaluate h 319 times,
+        # where testing every t group on its own took 4,080 (327 with a
+        # memo of the seed's own)
         h = ConcaveCost("log", a=1)  # its shape check evaluates h too
         calls = []
         plain = ConcaveCost.eval
@@ -262,7 +264,7 @@ class TestHlly:
         est, diag = hlly(H, h, x, y)
         assert repr(est) == "1.0820220550146913"
         assert set(diag.statuses) == {"exact"}
-        assert len(calls) == 327
+        assert len(calls) == 319
 
     def test_strictly_concave_h_is_negative_on_interior_line(self):
         H, x, y = catalog_instance("line_both_next", 1)

@@ -50,7 +50,6 @@ from hypercurv.transport import (
     _search,
     _step_prices,
     _steps_cost,
-    _SuccessorTable,
     _step_kernels,
     _structured,
     _t_groups,
@@ -325,6 +324,8 @@ class TestExact:
         for budget in (1, 5, 50, 150, 200, 222):
             res = wh_exact(H, H_LOG, mu, nu, max_states=budget)
             assert res.optimality == "heuristic-upper-bound"
+            # only the states actually expanded are counted
+            assert res.states_expanded == budget
             assert floor < res.lower_bound <= optimum <= res.value + 1e-12
             if budget in pinned:
                 assert res.lower_bound == pytest.approx(pinned[budget],
@@ -333,6 +334,7 @@ class TestExact:
         assert bounds == sorted(bounds)
         res = wh_exact(H, H_LOG, mu, nu, max_states=223)
         assert res.optimality == "exact"
+        assert res.states_expanded == 223
         assert res.lower_bound == floor
 
     def test_budget_exhaustion_after_goal_pushed(self, monkeypatch):
@@ -398,13 +400,93 @@ def _never(moved, t):
     return False
 
 
+def _reference_structured(cur, goal, hi):
+    """The whole structured family of one key, unpruned, in generation
+    order, each tuple once: the oracle of _structured's pruned stream."""
+    out, seen = [], set()
+    k = len(cur)
+    idx = range(k)
+    pos = [i for i in idx if cur[i] > 0]
+    deficits = [i for i in idx if goal[i] > cur[i]]
+    fill_t = [hi[i] * (goal[i] - cur[i]) for i in idx]
+
+    def add(new, moved, t):
+        tup = tuple(new)
+        if tup not in seen:
+            seen.add(tup)
+            out.append((tup, moved, t))
+
+    # batching: sources drain to 0 or to goal, targets fill to goal, the
+    # rest piles on one residual vertex
+    for r in range(1, len(pos) + 1):
+        for S in itertools.combinations(pos, r):
+            opts = [sorted({0, goal[s]} if 0 < goal[s] < cur[s] else {0})
+                    for s in S]
+            fill_cand = [t for t in deficits if t not in S]
+            for drains in itertools.product(*opts):
+                freed = sum(cur[s] - dv for s, dv in zip(S, drains))
+                if freed <= 0:
+                    continue
+                t_drain = sum(hi[s] * (dv - cur[s])
+                              for s, dv in zip(S, drains))
+                for nfill in range(len(fill_cand) + 1):
+                    for T in itertools.combinations(fill_cand, nfill):
+                        need = sum(goal[t] - cur[t] for t in T)
+                        if need > freed:
+                            continue
+                        rest = freed - need
+                        t_fill = t_drain + sum(fill_t[t] for t in T)
+                        residuals = [None] if rest == 0 else \
+                            [t for t in idx if t not in S and t not in T]
+                        for resid in residuals:
+                            if rest == 0 and not T:
+                                continue
+                            new = list(cur)
+                            for s, dv in zip(S, drains):
+                                new[s] = dv
+                            for t in T:
+                                new[t] = goal[t]
+                            if resid is not None:
+                                new[resid] += rest
+                            add(new, freed, t_fill + (
+                                0 if resid is None else hi[resid] * rest))
+    # fan-out: one source fills targets exactly to goal
+    for s in pos:
+        cand = [t for t in deficits if t != s]
+        for r in range(1, len(cand) + 1):
+            for T in itertools.combinations(cand, r):
+                need = sum(goal[t] - cur[t] for t in T)
+                if 0 < need <= cur[s]:
+                    new = list(cur)
+                    for t in T:
+                        new[t] = goal[t]
+                    new[s] = cur[s] - need
+                    add(new, need,
+                        sum(fill_t[t] for t in T) - hi[s] * need)
+    return out
+
+
+def _reference_exhaustive(cur, hi):
+    """Every composition of cur's mass but cur, with its moved and t, in
+    the order of _exhaustive: ascending t, then the values on the high
+    vertices, then those on the low ones, each lexicographically."""
+    out = []
+    for new in _spread(sum(cur), len(cur)):
+        if new != cur:
+            out.append((new, sum(c - n for c, n in zip(cur, new) if c > n),
+                        sum(f * (n - c) for c, n, f in zip(cur, new, hi))))
+    return sorted(out, key=lambda c: (
+        c[2], [n for n, f in zip(c[0], hi) if f],
+        [n for n, f in zip(c[0], hi) if not f]))
+
+
 def _family(cur, goal, hi, unpruned):
-    """Every successor of one key, in generation order: the structured
-    family, or the exhaustive enumeration uncapped, as _t_groups picks."""
-    ts = _t_groups(cur, hi, unpruned)
-    if ts is None:
-        return list(_structured(cur, goal, hi))
-    return list(_exhaustive(cur, hi, ts, _never))
+    """Every successor of one key, in generation order, from the reference
+    enumerations: the structured family or every composition, as
+    _t_groups picks."""
+    if _t_groups(cur, hi, unpruned) is None:
+        return _reference_structured(cur, goal, hi)
+    return _reference_exhaustive(cur, hi)
 
 
 def _monotone_dear(rng, M):
@@ -503,20 +585,20 @@ class TestDualBound:
         assert out == [((800, 1248), 700, -700)]
         assert len(ts) == 2049
         assert len(asked) <= 60
-        # a structured key's table walk skips the same ranges: with every
-        # child dear it asks about a couple of groups, not each child
+        # a structured key's stream caps moved for all its children with
+        # one bisection at the least t any child has: with every child
+        # dear it asks about the cap alone, not about each child
         cur, goal, hi = (5, 0, 4, 1, 3), (1, 4, 0, 5, 3), (0, 1, 1, 0, 1)
         assert _t_groups(cur, hi, False) is None
-        table = _SuccessorTable(cur, goal, hi)
-        full = table.survivors(_never)
         asked.clear()
-        assert table.survivors(lambda moved, t: dear(0, w)) == []
-        assert 0 < len(asked) <= 2 < len(full)
+        assert list(_structured(cur, goal, hi,
+                                lambda moved, t: dear(0, w))) == []
+        assert 0 < len(asked) <= math.ceil(math.log2(sum(cur) + 1)) + 1 \
+            < len(_reference_structured(cur, goal, hi))
 
     def test_open_groups_match_per_t_filter(self):
         # the range skip keeps exactly the groups a per-t test keeps, on
-        # contiguous t ranges and on the sparse t values of a structured
-        # table alike
+        # contiguous t ranges and on sparse t values alike
         for n in range(300):
             rng = random.Random(n)
             lo, hi = -rng.randint(0, 40), rng.randint(0, 40)
@@ -607,8 +689,9 @@ class TestDualBound:
         assert res.value == pytest.approx(value, abs=COST_TOL)
 
 
-class TestSuccessorTable:
-    """The per-call successor tables behind wh_exact's repeat visits."""
+class TestStructuredStream:
+    """The pruned streams that serve every visit of wh_exact, against the
+    reference enumerations of whole families."""
 
     @staticmethod
     def _keys(seed, count):
@@ -627,11 +710,10 @@ class TestSuccessorTable:
             hi[rng.randrange(k)] = 0
             yield tuple(cur), tuple(goal), tuple(hi), n % 3 == 0
 
-    def test_walk_matches_stream(self):
-        # a structured key's table walk keeps exactly the children of its
-        # family below a cut, in generation order, and an exhaustive key's
-        # stream those of its uncapped enumeration; the cut falls as t
-        # rises, as the search's does
+    def test_stream_matches_reference(self):
+        # a key's stream keeps exactly the children of its reference family
+        # below a cut, in generation order, structured and exhaustive keys
+        # alike; the cut falls as t rises, as the search's does
         h = H_LOG
         branches = set()
         for cur, goal, hi, unpruned in self._keys(808, 150):
@@ -656,86 +738,90 @@ class TestSuccessorTable:
 
             cut = [c for c in full if not dear(c[1], c[2])]
             if grouped:
-                # the groups come in the ascending order of _t_groups
-                seen = [t for _, _, t in full]
-                assert seen == sorted(seen) and set(seen) <= set(ts)
+                assert set(t for _, _, t in full) <= set(ts)
                 assert list(_exhaustive(cur, hi, ts, dear)) == cut
-                continue
-            table = _SuccessorTable(cur, goal, hi)
-            assert table.survivors(dear) == cut
-            # the union of the groups, walked to the end, is the family
-            walked = {}
-
-            def never(moved, t):
-                walked.setdefault(t, []).append(moved)
-                return False
-
-            assert table.survivors(never) == full
-            # each group is walked in nondecreasing compared cost
-            for moves in walked.values():
-                costs = [h.eval(Fraction(m, M)) for m in moves]
-                assert costs == sorted(costs)
+            else:
+                assert list(_structured(cur, goal, hi, dear)) == cut
         assert branches == {True, False}
 
-    def test_stream_and_walk_keep_what_dear_keeps(self):
-        # for any dear nondecreasing in moved and in t, the stream of an
-        # exhaustive key and the table walk of a structured key keep
-        # exactly the children of the full enumeration that dear keeps,
-        # in generation order, unpruned keys alike
+    def test_stream_keeps_what_dear_keeps(self):
+        # for any dear nondecreasing in moved and in t, the structured
+        # stream of every key, and the exhaustive stream of every key that
+        # _t_groups groups, keep exactly the children of the reference
+        # family that dear keeps, in generation order
         branches = set()
         for n, (cur, goal, hi, unpruned) in enumerate(self._keys(809, 150)):
+            dear = _monotone_dear(random.Random(n), sum(cur))
+            family = _reference_structured(cur, goal, hi)
+            assert list(_structured(cur, goal, hi, dear)) == [
+                c for c in family if not dear(c[1], c[2])]
+            assert list(_structured(cur, goal, hi, _never)) == family
             ts = _t_groups(cur, hi, unpruned)
             branches.add((ts is not None, unpruned))
-            full = _family(cur, goal, hi, unpruned)
-            dear = _monotone_dear(random.Random(n), sum(cur))
-            kept = [c for c in full if not dear(c[1], c[2])]
             if ts is not None:
-                assert list(_exhaustive(cur, hi, ts, dear)) == kept
-                continue
-            table = _SuccessorTable(cur, goal, hi)
-            assert list(table.ts) == sorted(table.ts)
-            assert table.survivors(dear) == kept
-            assert table.survivors(_never) == full
+                full = _reference_exhaustive(cur, hi)
+                assert list(_exhaustive(cur, hi, ts, dear)) == [
+                    c for c in full if not dear(c[1], c[2])]
         assert branches == {(True, True), (True, False), (False, False)}
 
-    def test_wide_values_fall_back_to_a_list(self):
-        # packed ints past 63 bits are kept in a list, not an array
+    def test_all_dear_asks_only_for_the_cap(self):
+        # with every child dear, the structured stream asks dear only while
+        # it bisects for the cap on moved: at most ceil(log2(M + 1)) + 1
+        # times, however large the family
+        sizes = []
+        for cur, goal, hi, _ in self._keys(810, 150):
+            for dear in (lambda moved, t: True, lambda moved, t: moved >= 1):
+                asked = []
+
+                def counted(moved, t, dear=dear):
+                    asked.append((moved, t))
+                    return dear(moved, t)
+
+                assert list(_structured(cur, goal, hi, counted)) == []
+                assert len(asked) <= math.ceil(math.log2(sum(cur) + 1)) + 1
+            sizes.append(len(_reference_structured(cur, goal, hi)))
+        assert max(sizes) > 2 * (math.ceil(math.log2(17)) + 1)
+
+    def test_large_masses_stream(self):
+        # a mass of 2**20 grid units bisects in about 21 questions and
+        # keeps what a cut on moved keeps
         cur, goal, hi = (2**20, 0, 3, 0), (0, 2**19, 0, 5), (0, 1, 1, 0)
-        table = _SuccessorTable(cur, goal, hi)
-        assert table.survivors(_never) == list(_structured(cur, goal, hi))
-        assert isinstance(table.packed, list)
+        family = _reference_structured(cur, goal, hi)
+        assert list(_structured(cur, goal, hi, _never)) == family
+        for cut in (1, 5, 2**19, 2**19 + 6, 2**20, 2**20 + 4):
+            assert list(_structured(cur, goal, hi,
+                                    lambda moved, t: moved >= cut)) == [
+                c for c in family if c[1] < cut]
 
-    def test_table_only_for_structured_keys(self, monkeypatch):
-        # the enumeration picks the path: a structured key builds its table
-        # once and walks it on every visit, an exhaustive key streams on
-        # every visit and builds none
-        built, structured, streamed = [], set(), []
-        table, t_groups = transport._SuccessorTable, transport._t_groups
+    def test_every_visit_streams(self, monkeypatch):
+        # the enumeration picks the stream: every visit of a structured key
+        # streams _structured, repeat visits included, and an instance
+        # whose edges never hold more than FULL_ENUM_LIMIT compositions
+        # streams _exhaustive only
+        structured, named, grouped = [], [], []
+        stream, t_groups = transport._structured, transport._t_groups
 
-        def build(cur, goal, hi):
-            built.append((cur, goal, hi))
-            return table(cur, goal, hi)
+        def structured_stream(cur, goal, hi, dear):
+            structured.append((cur, hi))
+            return stream(cur, goal, hi, dear)
 
         def groups(cur, hi, unpruned):
             ts = t_groups(cur, hi, unpruned)
-            if ts is None:
-                structured.add((cur, hi))
-            else:
-                streamed.append((cur, hi))
+            (named if ts is None else grouped).append((cur, hi))
             return ts
 
-        monkeypatch.setattr(transport, "_SuccessorTable", build)
+        monkeypatch.setattr(transport, "_structured", structured_stream)
         monkeypatch.setattr(transport, "_t_groups", groups)
         H = generate("grid9")
         mu = lazy_random_walk(H, "x", Fraction(1, 8))
         nu = lazy_random_walk(H, "y", Fraction(1, 8))
         assert wh_exact(H, H_LOG, mu, nu).optimality == "exact"
-        assert built and len(built) == len(set(built))
-        assert {(cur, hi) for cur, _, hi in built} == structured
+        assert structured == named
+        assert len(structured) > len(set(structured))
         # with D <= 6 an edge of five vertices holds at most 210
-        # compositions, so every key streams, repeat visits included
-        built.clear()
-        streamed.clear()
+        # compositions, so every key streams _exhaustive
+        structured.clear()
+        grouped.clear()
         rng = random.Random(1717)
         for _ in range(40):
             H = random_hypergraph(rng, max_edge_size=5)
@@ -745,8 +831,8 @@ class TestSuccessorTable:
                                        rng, H.n, D)) if u})
                       for _ in range(2))
             wh_exact(H, H_LOG, mu, nu)
-        assert built == []
-        assert len(streamed) > len(set(streamed))
+        assert structured == []
+        assert len(grouped) > len(set(grouped))
 
 
 COSTS = (H_LOG, H_TRUNC, H_LIN, ConcaveCost("power", a=Fraction(1, 2)),
@@ -893,13 +979,14 @@ class TestPrivateBound:
                         sum(map(env, M)) - env(max(M)), abs=1e-12)
 
     def test_dear_is_monotone(self, monkeypatch):
-        # every dear the search hands to a stream or a table walk (both
-        # skip groups through _open_groups) is nondecreasing in moved and
-        # in t, on a grid over [0, D] x [-D, D]
+        # every dear the search hands to a stream (the exhaustive one
+        # skips groups through _open_groups, the structured one is handed
+        # dear itself) is nondecreasing in moved and in t, on a grid over
+        # [0, D] x [-D, D]
         grid_of, seen = [None], []
-        open_groups = transport._open_groups
+        open_groups, structured = transport._open_groups, transport._structured
 
-        def spy(ts, dear):
+        def check(dear):
             moved_range, t_range = grid_of[0]
             grid = [[dear(moved, t) for t in t_range] for moved in moved_range]
             for row, nxt in zip(grid, grid[1:]):
@@ -907,9 +994,17 @@ class TestPrivateBound:
             for row in grid:
                 assert row == sorted(row)
             seen.append(any(map(any, grid)) and not all(map(all, grid)))
+
+        def spy(ts, dear):
+            check(dear)
             return open_groups(ts, dear)
 
+        def structured_spy(cur, goal, hi, dear):
+            check(dear)
+            return structured(cur, goal, hi, dear)
+
         monkeypatch.setattr(transport, "_open_groups", spy)
+        monkeypatch.setattr(transport, "_structured", structured_spy)
         H = generate("grid9")
         mu = lazy_random_walk(H, "x", Fraction(1, 4))
         nu = lazy_random_walk(H, "y", Fraction(1, 4))
@@ -976,8 +1071,8 @@ class TestGolden:
 
     # seed -> record: the first 30 seeds whose search expanded at least
     # four states before the private-vertex bound, and 877, the one seed
-    # below 1500 whose plan changes when a table walk pushes its children
-    # in reverse
+    # below 1500 whose plan changes when a visit pushes the survivors of
+    # its structured family in reverse
     SMALL = {
         4: ("0.8517522107365838", "exact", "0.6931471805599453", 1, 4,
             "c8b66fd1cd0707e8"),
