@@ -366,6 +366,18 @@ def _open_groups(ts, dear):
     return found
 
 
+def _last_kept(dear, t, lo, hi):
+    """The largest moved in [lo, hi] that dear(moved, t) keeps, by
+    bisection, or lo if it keeps none above lo; dear(lo, t) is not asked."""
+    while lo < hi:
+        mid = (lo + hi + 1) // 2
+        if dear(mid, t):
+            hi = mid - 1
+        else:
+            lo = mid
+    return lo
+
+
 def _exhaustive(cur, hi, ts, dear):
     """(new values, moved, t) of every composition of cur's mass but cur
     itself that dear(moved, t) keeps, group by group in the ascending t of
@@ -375,12 +387,13 @@ def _exhaustive(cur, hi, ts, dear):
     edge minimum) and t = sum(hi * (new - cur)) is the net mass a child
     moves onto them; the dual bound of a child depends on t alone, and
     moved >= |t|.  `dear` must be nondecreasing in both arguments, as the
-    search's test is: it adds the step price of moved to the envelope of
-    W1 + t, and both are nondecreasing.  Only the groups _open_groups
-    keeps are enumerated, and group t only up to its cap: the largest
-    moved in [|t|, the most the group can move] that dear(moved, t)
-    keeps, found by bisection.  Each child is then dropped exactly when
-    dear drops it, and whole ranges of children are dropped untried.
+    search's test is: it adds the step price of moved to the private-
+    vertex bound at W1 + t, and both are nondecreasing.  Only the groups
+    _open_groups keeps are enumerated, and group t only up to its cap:
+    the largest moved in [|t|, the most the group can move] that
+    dear(moved, t) keeps (see _last_kept).  Each child is then dropped
+    exactly when dear drops it, and whole ranges of children are dropped
+    untried.  The search pushes none of them, so dear only skips.
     """
     k = len(cur)
     high = [i for i in range(k) if hi[i]]
@@ -392,15 +405,9 @@ def _exhaustive(cur, hi, ts, dear):
     place = [order.index(i) for i in range(k)]
     for i in _open_groups(ts, dear):
         t = ts[i]
-        cap = (_most_taken(on_high + t, cur_high)
-               + _most_taken(on_low - t, cur_low))
-        kept = abs(t)
-        while kept < cap:
-            mid = (kept + cap + 1) // 2
-            if dear(mid, t):
-                cap = mid - 1
-            else:
-                kept = mid
+        cap = _last_kept(dear, t, abs(t),
+                         _most_taken(on_high + t, cur_high)
+                         + _most_taken(on_low - t, cur_low))
         # the bottom gives up at least max(t, 0)
         for top, took_top in _compositions(on_high + t, cur_high,
                                            cap - max(t, 0)):
@@ -429,7 +436,7 @@ def _structured(cur, goal, hi, dear):
     `dear` must be nondecreasing in both arguments, as the search's test
     is (see _exhaustive), and three bounds drop dear children untried.
     New values are at least 0, so every child has t >= t_low =
-    -sum(hi * cur).  Bisection finds cap, the largest m with
+    -sum(hi * cur).  _last_kept finds cap, the largest m with
     dear(m, t_low) false, and a child that moves more than cap is dear,
     as dear(moved, t) >= dear(cap + 1, t_low).  A source s frees at least
     least[s] (all of cur[s], or what lies above its goal value), so a
@@ -441,18 +448,12 @@ def _structured(cur, goal, hi, dear):
     a child's values, so a tuple that recurs recurs with the same pair:
     a dear tuple is dropped at every occurrence, and a kept tuple is
     kept at its first.  The stream is thus the whole family filtered by
-    dear, in the same order.
+    dear, in the same order.  As in _exhaustive, dear only skips.
     """
     k = len(cur)
     idx = range(k)
     t_low = -sum(map(operator.mul, hi, cur))
-    cap, top = 0, sum(cur)
-    while cap < top:
-        mid = (cap + top + 1) // 2
-        if dear(mid, t_low):
-            top = mid - 1
-        else:
-            cap = mid
+    cap = _last_kept(dear, t_low, 0, sum(cur))
     if not cap:
         return
     seen = set()
@@ -479,7 +480,7 @@ def _structured(cur, goal, hi, dear):
             fill_cand = [t for t in deficits if t not in S]
             for drains in itertools.product(*opts):
                 freed = sum(cur[s] - dv for s, dv in zip(S, drains))
-                if freed <= 0 or freed > cap:
+                if freed > cap:
                     continue
                 t_drain = sum(hi[s] * (dv - cur[s])
                               for s, dv in zip(S, drains))
@@ -495,8 +496,6 @@ def _structured(cur, goal, hi, dear):
                         residuals = [None] if rest == 0 else \
                             [t for t in idx if t not in S and t not in T]
                         for resid in residuals:
-                            if rest == 0 and not T:
-                                continue
                             t_child = t_fill + (
                                 0 if resid is None else hi[resid] * rest)
                             if dear(freed, t_child):
@@ -566,16 +565,20 @@ def wh_exact(H: Hypergraph, h: ConcaveCost, mu: ProbMeasure, nu: ProbMeasure,
     bound envelope(max(W1 - moved, 0)); its exact W1 is computed only when
     it is popped.  f takes two adjacent values on a hyperedge, so
     <f, delta> = t, the net mass moved onto the higher vertices, and
-    moved >= |t|.  One test prunes: a child is too dear once
-    dear(moved, t) = g + h(moved) + lb(max(W1 + t, 0)) reaches the
-    incumbent, where lb, the private-vertex bound below, is at least the
-    envelope.  The step prices h(m / D) and lb are nondecreasing, so dear
-    is nondecreasing in both moved and t, and the successors are found
-    on that contract: the exhaustive enumeration skips untried a whole
+    moved >= |t|.  One rule pushes: a child is pushed exactly when
+    g + h(moved) + lb(max(W1 + t, 0)) is below the incumbent, less the
+    slack, and the child is neither closed nor reached before at no
+    higher cost, where lb is the private-vertex bound below at the
+    child's own imbalances.  The enumerations are handed dear(moved, t),
+    the same sum with the visited edge's L_k set to 0, which is never
+    larger, and the incumbent only falls: so they only skip, and nothing
+    they skip is pushed.  h(m / D) and lb are nondecreasing, so dear is
+    nondecreasing in both moved and t, and the successors are found on
+    that contract: the exhaustive enumeration skips untried a whole
     range of t groups whose cheapest possible child is too dear and
     enumerates each open group only up to the first moved mass that is
     too dear, and the structured family caps moved once for all its
-    children.  Exactly the children that dear keeps come out.
+    children.
 
     Which enumeration serves a key (an edge's local values, local goal
     and potential pattern) is named by _t_groups, and either one streams
@@ -585,12 +588,10 @@ def wh_exact(H: Hypergraph, h: ConcaveCost, mu: ProbMeasure, nu: ProbMeasure,
     key streams _structured: one bisection at the least t any child can
     have caps moved for the whole family, source sets that must free
     more than the cap are skipped untried, and the rest is tested by
-    batch and by child.  A structured visit lists its survivors before
-    pushing any, so dear is asked at the visit's incumbent; each
-    survivor is then tested again against the incumbent of the moment.
-    On grid9 x,y under log at alpha = 1/8, 1/4 and 1/2, 1,574 of the
-    2,100 key visits (75%) are structured; an instance whose edges never
-    hold more than FULL_ENUM_LIMIT compositions uses no structured key.
+    batch and by child.  On grid9 x,y under log at alpha = 1/8, 1/4 and
+    1/2, 1,574 of the 2,100 key visits (75%) are structured; an instance
+    whose edges never hold more than FULL_ENUM_LIMIT compositions uses no
+    structured key.
 
     A popped child is tested before its W1 solve against the bundle: the
     distinct potentials of this call's solves, the one that last pruned
@@ -627,7 +628,7 @@ def wh_exact(H: Hypergraph, h: ConcaveCost, mu: ProbMeasure, nu: ProbMeasure,
     1. dear for a visit of edge k uses L with L_k set to 0, as a step on
        k changes no other edge's private vertices and can lower L_k; dear
        keeps its monotone contract, so more groups are skipped untried.
-    2. A child that dear keeps is tested at push with its own L_k.
+    2. The push rule tests every child with its own L_k.
     3. A popped state is tested with lb(L, b) against the bundle and with
        lb(L, W1) after its solve.
 
@@ -743,24 +744,20 @@ def _search(H, h, mu, nu, D, max_states, unpruned):
             base = min([pot[v] for v in edge])
             hi = tuple([pot[v] - base for v in edge])
             ts = _t_groups(cur, hi, unpruned)
-            if ts is None:
-                # listed whole, so dear is asked at this visit's incumbent
-                children = list(_structured(cur, goal_by_edge[k], hi, dear))
-            else:
-                children = _exhaustive(cur, hi, ts, dear)
+            children = (_structured(cur, goal_by_edge[k], hi, dear)
+                        if ts is None else _exhaustive(cur, hi, ts, dear))
             for new_vals, moved, t in children:
-                g2 = g + cost_of(moved)
-                bound = env_of(max(w1u + t, 0))
-                if g2 + bound >= incumbent_g - tol:
-                    continue
                 child = list(state)
                 for v, nv in zip(edge, new_vals):
                     child[v] = nv
                 child = tuple(child)
-                if private[k] and g2 + _private_bound(
+                # the push rule: dear's bound with the child's own L_k
+                g2 = g + cost_of(moved)
+                w = max(w1u + t, 0)
+                if g2 + _private_bound(
                         env_of, D, _put(env_of, zeroed[k],
                                         _imbalance(child, goal, private[k])),
-                        max(w1u + t, 0)) >= incumbent_g - tol:
+                        w) >= incumbent_g - tol:
                     continue
                 if child in closed:
                     continue
@@ -770,7 +767,7 @@ def _search(H, h, mu, nu, D, max_states, unpruned):
                 parents[child] = (state, k, edge, cur, new_vals)
                 if child == goal:
                     incumbent_g = g2
-                heapq.heappush(heap, (round((g2 + bound) / h1, 12), -g2,
+                heapq.heappush(heap, (round((g2 + env_of(w)) / h1, 12), -g2,
                                       next(counter), child, g2, False, 0,
                                       None))
 

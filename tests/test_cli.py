@@ -139,6 +139,21 @@ class TestWh:
             (row,) = json.loads(capsys.readouterr().out)
             assert (row["states"], row["wh_status"]) == (states, status)
 
+    def test_heuristic(self, grid9_file, capsys):
+        # the greedy plan of grid9 x,y under log at 1/4, with no search:
+        # its value, h(1) * W1 below it, and a plan that re-validates
+        code = main(["wh", grid9_file, "--h", LOG1, "--pair", "x,y",
+                     "--alpha", "1/4", "--heuristic", "--emit-plan"])
+        assert code == 0
+        (row,) = json.loads(capsys.readouterr().out)
+        assert (row["wh"], row["wh_status"], row["lower_bound"],
+                row["states"]) == ("0.5784946823875035",
+                                   "heuristic-upper-bound",
+                                   "0.4332169878499658", 0)
+        plan = TransportPlan.from_json(json.dumps(row["plan"]))
+        assert plan_cost(generate("grid9"), ConcaveCost.from_json(LOG1),
+                         plan) == pytest.approx(float(row["wh"]), abs=1e-12)
+
     def test_alpha_required(self, grid9_file):
         with pytest.raises(SystemExit) as exc:
             main(["wh", grid9_file, "--h", LOG1, "--pair", "x,y"])

@@ -107,6 +107,12 @@ class TestOrcAlpha:
 
 
 class TestOrcAlphaH:
+    def test_same_vertex(self):
+        H = generate("complete", 3)
+        with pytest.raises(SameVertex) as exc:
+            orc_alpha_h(H, H_LOG, "v0", "v0", Fraction(1, 2))
+        assert str(exc.value) == "curvature needs two distinct vertices"
+
     def test_idleness_one_vanishes(self):
         for H, x, y in [(generate("complete", 4), "v0", "v1"),
                         (generate("grid9"), "x", "y")]:

@@ -6,6 +6,7 @@ import heapq
 import itertools
 import math
 import random
+import types
 from fractions import Fraction
 
 import pytest
@@ -34,7 +35,7 @@ from hypercurv.errors import (
     NotAssociated,
     StepLeavesHyperedge,
 )
-from hypercurv import kernels, transport
+from hypercurv import cli, kernels, transport
 from hypercurv.measure import quantize
 from hypercurv.transport import (
     COST_TOL,
@@ -108,6 +109,18 @@ class TestPlanCost:
                              (TransportStep(0, (("v0", "v2", Fraction(1)),)),))
         with pytest.raises(StepLeavesHyperedge):
             plan_cost(H, H_LOG, plan)
+
+    @pytest.mark.parametrize("move", [("v0", "v1", Fraction(0)),
+                                      ("v0", "v0", Fraction(1))])
+    def test_malformed_move(self, move):
+        # a move of no mass, or from a vertex to itself, is refused even
+        # inside its hyperedge
+        H = generate("path", 2)
+        mu = dirac(H, "v0")
+        plan = TransportPlan(mu, mu, (TransportStep(0, (move,)),))
+        with pytest.raises(StepLeavesHyperedge) as exc:
+            plan_cost(H, H_LOG, plan)
+        assert "malformed move" in str(exc.value)
 
     def test_negative_intermediate(self):
         H = generate("path", 2)
@@ -835,6 +848,65 @@ class TestStructuredStream:
         assert len(grouped) > len(set(grouped))
 
 
+class TestPushRule:
+    """wh_exact pushes a child by one rule, so the streams only skip."""
+
+    @staticmethod
+    def _instances(seed, count):
+        # selfcheck's generators under log, truncation(1/2) and power(1/2)
+        # in turn, then grid9 x,y under log at three idleness values
+        rng = random.Random(seed)
+        costs = (H_LOG, H_TRUNC, ConcaveCost("power", a=Fraction(1, 2)))
+        for n in range(count):
+            H = cli._random_hypergraph(rng)
+            yield (H, costs[n % 3], cli._random_measure(rng, H),
+                   cli._random_measure(rng, H))
+        H = generate("grid9")
+        for alpha in (Fraction(1, 8), Fraction(1, 4), Fraction(1, 2)):
+            yield (H, H_LOG, lazy_random_walk(H, "x", alpha),
+                   lazy_random_walk(H, "y", alpha))
+
+    def test_keep_everything_dear_changes_nothing(self, monkeypatch):
+        # handing both streams a dear that keeps every child leaves the
+        # result, states_expanded, plan and the pushed heap entries, in
+        # order, as they are; the streams do skip: they yield fewer
+        # children as is than when they keep everything
+        pushed, streamed = [], [0]
+        exhaustive, structured = transport._exhaustive, transport._structured
+
+        def push(heap, item):
+            pushed.append(item)
+            heapq.heappush(heap, item)
+
+        def counted(children):
+            for child in children:
+                streamed[0] += 1
+                yield child
+
+        def run(H, h, mu, nu, keep_all):
+            pick = (lambda dear: _never) if keep_all else (lambda dear: dear)
+            monkeypatch.setattr(
+                transport, "_exhaustive", lambda cur, hi, ts, dear: counted(
+                    exhaustive(cur, hi, ts, pick(dear))))
+            monkeypatch.setattr(
+                transport, "_structured", lambda cur, goal, hi, dear: counted(
+                    structured(cur, goal, hi, pick(dear))))
+            pushed.clear()
+            streamed[0] = 0
+            res = wh_exact(H, h, mu, nu)
+            return (_record(res), list(pushed)), streamed[0]
+
+        monkeypatch.setattr(transport, "heapq", types.SimpleNamespace(
+            heappush=push, heappop=heapq.heappop))
+        skipped = 0
+        for H, h, mu, nu in self._instances(2100, 400):
+            as_is, kept = run(H, h, mu, nu, False)
+            keep_all, every = run(H, h, mu, nu, True)
+            assert as_is == keep_all
+            skipped += kept < every
+        assert skipped >= 300
+
+
 COSTS = (H_LOG, H_TRUNC, H_LIN, ConcaveCost("power", a=Fraction(1, 2)),
          ConcaveCost("trunc_log_combo", a=Fraction(1, 2)),
          ConcaveCost("tabulated", points=[(0, 0), (Fraction(1, 4), 0.4),
@@ -917,10 +989,12 @@ class TestPrivateBound:
         # lb(L(state), W1(state)) never exceeds the cheapest plan from the
         # state, nor does the bound each child on edge k is tested with:
         # L_k set to 0 (dear) or to the child's own L_k (push), with the
-        # dual bound W1 + t.  Instances where W1 exceeds one unit of mass
-        # and the cap D - L* binds are counted, as are states where the
-        # bound beats the envelope.
-        capped = stronger = 0
+        # dual bound W1 + t; and dear's bound never exceeds the push
+        # bound, so a child dear drops fails the push rule.  Instances
+        # where W1 exceeds one unit of mass and the cap D - L* binds are
+        # counted, as are states where the bound beats the envelope and
+        # children whose own L_k makes the push bound the larger.
+        capped = stronger = raised = 0
         for H, h, D, start, goal in self._instances(9000, 150):
             tol = COST_TOL * h.h1
             env = functools.cache(
@@ -950,13 +1024,13 @@ class TestPrivateBound:
                         child = tuple(child)
                         w = max(w1u + sum(f[v] * (child[v] - state[v])
                                           for v in edge), 0)
-                        assert _private_bound(env, D, zeroed[k], w) \
-                            <= dist[child] + tol
+                        dear = _private_bound(env, D, zeroed[k], w)
                         own = _imbalance(child, goal, private[k])
-                        assert _private_bound(env, D,
-                                              _put(env, zeroed[k], own),
-                                              w) <= dist[child] + tol
-        assert capped >= 50 and stronger >= 400
+                        push = _private_bound(env, D,
+                                              _put(env, zeroed[k], own), w)
+                        assert dear <= push <= dist[child] + tol
+                        raised += push > dear
+        assert capped >= 50 and stronger >= 400 and raised >= 2000
 
     def test_terms_match_their_definition(self):
         # (sum, largest, envelope summed over all but one largest) of L
