@@ -36,7 +36,10 @@ L_e, the larger of the private vertices' excess and deficit against the
 goal.  Concavity of h then prices every edge's share of W1 from below (see
 _private_bound).  The search prunes on it but orders by the envelope of W1
 alone, so it stays a branch-and-bound test on an admissible bound (Hart,
-Nilsson and Raphael, IEEE Trans. SSC 1968) and drops no cheaper plan.
+Nilsson and Raphael, IEEE Trans. SSC 1968) and drops no cheaper plan.  At
+the start the same bound can certify the greedy seed, which then ends the
+branch and bound before it expands anything (Land and Doig, Econometrica
+1960).
 """
 
 from __future__ import annotations
@@ -323,8 +326,6 @@ def _t_groups(cur, hi, unpruned):
     are enumerated exhaustively (see _exhaustive), or None for the
     structured family (see _structured)."""
     k, M = len(cur), sum(cur)
-    if M == 0:
-        return range(0)
     if k == 2 or unpruned or math.comb(M + k - 1, k - 1) <= FULL_ENUM_LIMIT:
         if 0 < sum(hi) < k:
             on_high = sum(itertools.compress(cur, hi))
@@ -546,17 +547,32 @@ def wh_exact(H: Hypergraph, h: ConcaveCost, mu: ProbMeasure, nu: ProbMeasure,
     so h and any positive multiple of h run the same search.  The greedy
     construction of wh_heuristic seeds the incumbent so the search only
     explores strictly cheaper plans; one kernel solve of the start's W1
-    gives both the seed's flows and the start's potential.  When the goal
-    is popped, or the frontier drains without reaching it, the incumbent
-    is optimal, and lower_bound is h(1) * W1.  Once max_states states are
-    expanded, the next state to expand ends the search instead: the best
-    plan found so far is returned with optimality "heuristic-upper-bound"
-    and states_expanded = max_states.  Every cheaper plan then passes an
-    open state (the one popped last, unexpanded, or one on the heap) whose
-    key bounds it from below, so lower_bound is the least open key, capped
-    by the incumbent, less the slack, and never below h(1) * W1.
-    unpruned=True enumerates every successor of every hyperedge instead of
-    the structured family (see _structured).
+    gives both the seed's flows and the start's potential.
+
+    The certificate.  Before anything else is set up, the seed is compared
+    with lb(L, W1) of the start, the private-vertex bound below at the
+    start's own imbalances and W1.  That bound holds for every plan from
+    the start, so a seed within the slack of it is optimal within the
+    slack.  It is returned at once as exact, with lower_bound h(1) * W1
+    and states_expanded = 0, whatever max_states is.  A search run to its
+    end would return the same value, plan and lower bound: no plan it
+    could find is cheaper than the seed by more than the slack, so the
+    incumbent, and with it the plan, never changes.  The bound reads no successor family,
+    so a certified result is exact even where the structured family is in
+    force.  Under linear h every seed that moves mass is certified: it
+    costs h(1) * W1, which the bound reaches.
+
+    When the goal is popped, or the frontier drains without reaching it,
+    the incumbent is optimal, and lower_bound is h(1) * W1.  Once max_states
+    states are expanded, the next state to expand ends the search instead:
+    the best plan found so far is returned with optimality
+    "heuristic-upper-bound" and states_expanded = max_states.  Every
+    cheaper plan then passes an open state (the one popped last,
+    unexpanded, or one on the heap) whose key bounds it from below, so
+    lower_bound is the least open key, capped by the incumbent, less the
+    slack, and never below h(1) * W1.  unpruned=True enumerates every
+    successor of every hyperedge instead of the structured family (see
+    _structured).
 
     W1 is evaluated lazily.  An expanded state keeps the Kantorovich
     potential f of its exact W1 (see `w1_units`), and a child differing by
@@ -621,15 +637,17 @@ def wh_exact(H: Hypergraph, h: ConcaveCost, mu: ProbMeasure, nu: ProbMeasure,
     W1 >= w.  The cap D - L* keeps the argument where the envelope is
     concave; without it the formula overestimates once W1 exceeds one
     unit of mass.  lb is nondecreasing in w, and once the sums of an
-    expansion are known (see _zeroed_terms) it costs O(1).  It prunes at
-    three sites and orders nothing, so heap keys, push order and the
-    visit rule are those of the envelope:
+    expansion are known (see _zeroed_terms) it costs O(1).  It certifies at
+    one site, prunes at three and orders nothing, so heap keys, push order
+    and the visit rule are those of the envelope:
 
-    1. dear for a visit of edge k uses L with L_k set to 0, as a step on
+    1. The start is tested with lb(L, W1) against the seed: the
+       certificate above.
+    2. dear for a visit of edge k uses L with L_k set to 0, as a step on
        k changes no other edge's private vertices and can lower L_k; dear
        keeps its monotone contract, so more groups are skipped untried.
-    2. The push rule tests every child with its own L_k.
-    3. A popped state is tested with lb(L, b) against the bundle and with
+    3. The push rule tests every child with its own L_k.
+    4. A popped state is tested with lb(L, b) against the bundle and with
        lb(L, W1) after its solve.
 
     Where no edge has a private imbalance, lb is the envelope and each
@@ -665,12 +683,18 @@ def _search(H, h, mu, nu, D, max_states, unpruned):
                                      tol)
 
     edge_lists = [tuple(e) for e in H.edges]
-    goal_by_edge = [tuple(goal[v] for v in e) for e in edge_lists]
     # per edge, its private vertices: those in no other edge
     private = [tuple([v for v in e if len(H.incidence[v]) == 1])
                for e in edge_lists]
     env_of = functools.cache(lambda w: _envelope(h1, cost_of, w, D))
+    # the certificate: the start's private-vertex bound at its own W1
+    # bounds every plan, so a seed that meets it is optimal unsearched
+    imbalances = [_imbalance(start, goal, p) for p in private]
+    terms = _put(env_of, _zeroed_terms(env_of, imbalances)[0], imbalances[0])
+    if _private_bound(env_of, D, terms, lower_units) >= incumbent_g - tol:
+        return WhResult(incumbent_g, greedy_plan, "exact", lower, 0, D)
 
+    goal_by_edge = [tuple(goal[v] for v in e) for e in edge_lists]
     g_best = {start: 0.0}
     parents = {start: None}
     closed = set()

@@ -252,11 +252,12 @@ class TestHlly:
         assert est == pytest.approx(-0.721348, abs=1e-4)
 
     def test_complete_three_work_pinned(self, monkeypatch):
-        # a range of t groups whose cheapest child is too dear is skipped
-        # whole, and the greedy seed prices its steps from the search's
-        # memo, so the eight solves (D up to 2,048) evaluate h 319 times,
-        # where testing every t group on its own took 4,080 (327 with a
-        # memo of the seed's own)
+        # the greedy seed prices its one step from the search's memo, and
+        # the start's private-vertex bound certifies the seed at that same
+        # price, so the eight solves (D up to 2,048) evaluate h once each.
+        # Searching from the seed took 319 evaluations with a range of too
+        # dear t groups skipped whole, and 4,080 with every t group tested
+        # on its own (327 with a memo of the seed's own)
         h = ConcaveCost("log", a=1)  # its shape check evaluates h too
         calls = []
         plain = ConcaveCost.eval
@@ -270,7 +271,7 @@ class TestHlly:
         est, diag = hlly(H, h, x, y)
         assert repr(est) == "1.0820220550146913"
         assert set(diag.statuses) == {"exact"}
-        assert len(calls) == 319
+        assert len(calls) == 8
 
     def test_strictly_concave_h_is_negative_on_interior_line(self):
         H, x, y = catalog_instance("line_both_next", 1)

@@ -852,19 +852,15 @@ class TestPushRule:
     """wh_exact pushes a child by one rule, so the streams only skip."""
 
     @staticmethod
-    def _instances(seed, count):
+    def _instances(seed):
         # selfcheck's generators under log, truncation(1/2) and power(1/2)
-        # in turn, then grid9 x,y under log at three idleness values
+        # in turn, without end
         rng = random.Random(seed)
         costs = (H_LOG, H_TRUNC, ConcaveCost("power", a=Fraction(1, 2)))
-        for n in range(count):
+        for n in itertools.count():
             H = cli._random_hypergraph(rng)
             yield (H, costs[n % 3], cli._random_measure(rng, H),
                    cli._random_measure(rng, H))
-        H = generate("grid9")
-        for alpha in (Fraction(1, 8), Fraction(1, 4), Fraction(1, 2)):
-            yield (H, H_LOG, lazy_random_walk(H, "x", alpha),
-                   lazy_random_walk(H, "y", alpha))
 
     def test_keep_everything_dear_changes_nothing(self, monkeypatch):
         # handing both streams a dear that keeps every child leaves the
@@ -896,15 +892,28 @@ class TestPushRule:
             res = wh_exact(H, h, mu, nu)
             return (_record(res), list(pushed)), streamed[0]
 
-        monkeypatch.setattr(transport, "heapq", types.SimpleNamespace(
-            heappush=push, heappop=heapq.heappop))
-        skipped = 0
-        for H, h, mu, nu in self._instances(2100, 400):
+        def skips(H, h, mu, nu):
             as_is, kept = run(H, h, mu, nu, False)
             keep_all, every = run(H, h, mu, nu, True)
             assert as_is == keep_all
-            skipped += kept < every
-        assert skipped >= 300
+            return kept < every
+
+        monkeypatch.setattr(transport, "heapq", types.SimpleNamespace(
+            heappush=push, heappop=heapq.heappop))
+        # a certified seed returns before any stream runs, so instances
+        # are drawn until 300 of them skip, 4,000 at most: seed 2100
+        # draws 2,402
+        skipped = 0
+        for H, h, mu, nu in itertools.islice(self._instances(2100), 4000):
+            skipped += skips(H, h, mu, nu)
+            if skipped == 300:
+                break
+        assert skipped == 300
+        # grid9 x,y under log is searched, and skips, at every idleness
+        H = generate("grid9")
+        for alpha in (Fraction(1, 8), Fraction(1, 4), Fraction(1, 2)):
+            assert skips(H, H_LOG, lazy_random_walk(H, "x", alpha),
+                         lazy_random_walk(H, "y", alpha))
 
 
 COSTS = (H_LOG, H_TRUNC, H_LIN, ConcaveCost("power", a=Fraction(1, 2)),
@@ -1113,6 +1122,60 @@ class TestPrivateBound:
                 assert fast.value == pytest.approx(dist[start_grid], abs=tol)
 
 
+class TestCertificate:
+    """A greedy seed that meets the start's private-vertex bound at the
+    start's own W1 is returned unsearched: exact, with no expansion."""
+
+    def test_linear_always_certified(self):
+        # under linear h the seed costs h(1) * W1, which the bound equals,
+        # so every solve that moves mass is certified
+        rng = random.Random(2200)
+        moved = 0
+        for _ in range(200):
+            H = cli._random_hypergraph(rng)
+            mu, nu = cli._random_measure(rng, H), cli._random_measure(rng, H)
+            if mu == nu:
+                continue
+            moved += 1
+            res = wh_exact(H, H_LIN, mu, nu)
+            assert (res.states_expanded, res.optimality) == (0, "exact")
+            tol = COST_TOL * H_LIN.h1
+            assert res.value == pytest.approx(
+                H_LIN.h1 * float(w1(H, mu, nu)[0]), abs=tol)
+            assert plan_cost(H, H_LIN, res.plan) == pytest.approx(
+                res.value, abs=tol)
+        assert moved >= 150
+
+    def test_certified_match_oracle(self, monkeypatch):
+        # certified results under log and truncation equal the plain
+        # Dijkstra over the grid, the structured family in force on every
+        # other instance
+        default = transport.FULL_ENUM_LIMIT
+        certified = [0, 0]
+        rng = random.Random(2300)
+        for n in range(300):
+            H = random_hypergraph(rng, max_vertices=6)
+            D = rng.randint(2, 4)
+            start, goal = (tuple(TestDualBound._units(rng, H.n, D))
+                           for _ in range(2))
+            if start == goal:
+                continue
+            structured = n % 2
+            monkeypatch.setattr(transport, "FULL_ENUM_LIMIT",
+                                0 if structured else default)
+            h = (H_LOG, H_TRUNC)[n // 2 % 2]
+            res = wh_exact(H, h, _as_measure(H, start, D),
+                           _as_measure(H, goal, D))
+            if res.states_expanded:
+                continue
+            certified[structured] += 1
+            assert res.optimality == "exact"
+            dist = _distances_to(H, h, goal, D)
+            assert res.value == pytest.approx(dist[start],
+                                              abs=COST_TOL * h.h1)
+        assert min(certified) >= 100
+
+
 def _record(res):
     return (repr(res.value), res.optimality, repr(res.lower_bound),
             res.states_expanded, res.quantization,
@@ -1124,7 +1187,9 @@ class TestGolden:
     Pushing children in another order breaks ties differently, which shows
     in the plan, the expansion count or both.  The expansion counts were
     recorded again when the search began to prune on the private-vertex
-    bound, which changed no other field."""
+    bound, which changed no other field, and once more when the start's
+    bound began to certify the greedy seed: 17 small seeds went from one
+    expansion to none, with every other field as it was."""
 
     @pytest.mark.parametrize("h,alpha,want", [
         (H_LOG, Fraction(1, 8),
@@ -1148,33 +1213,33 @@ class TestGolden:
     # below 1500 whose plan changes when a visit pushes the survivors of
     # its structured family in reverse
     SMALL = {
-        4: ("0.8517522107365838", "exact", "0.6931471805599453", 1, 4,
+        4: ("0.8517522107365838", "exact", "0.6931471805599453", 0, 4,
             "c8b66fd1cd0707e8"),
-        92: ("1.0479685558493548", "exact", "0.9241962407465937", 1, 6,
+        92: ("1.0479685558493548", "exact", "0.9241962407465937", 0, 6,
              "9569edc22b0492d7"),
         95: ("1.1666666666666667", "exact", "0.6666666666666666", 3, 6,
              "58588602a5b352d2"),
         97: ("1.0", "exact", "0.625", 8, 4,
              "ce200fdc997e5b78"),
-        120: ("0.6359887667199967", "exact", "0.5198603854199589", 1, 12,
+        120: ("0.6359887667199967", "exact", "0.5198603854199589", 0, 12,
               "a602819f61ce2ecf"),
         129: ("1.25", "exact", "0.875", 6, 4,
               "cb3989f433697ffe"),
         152: ("1.229046441878052", "exact", "1.0397207708399179", 10, 4,
               "bf367eb0e54ca4ab"),
-        171: ("1.0", "exact", "0.5", 1, 4,
+        171: ("1.0", "exact", "0.5", 0, 4,
               "513a6895588c4f03"),
         185: ("0.8333333333333333", "exact", "0.4166666666666667", 1, 6,
               "ab0bbf32de618a56"),
-        193: ("0.8333333333333333", "exact", "0.4166666666666667", 1, 6,
+        193: ("0.8333333333333333", "exact", "0.4166666666666667", 0, 6,
               "092f74a6b341fa95"),
         214: ("0.8517522107365838", "exact", "0.6931471805599453", 9, 4,
               "47969ea88257ba12"),
-        227: ("1.0", "exact", "0.625", 1, 12,
+        227: ("1.0", "exact", "0.625", 0, 12,
               "b86e64423d4e2b12"),
-        232: ("1.1169614273363062", "exact", "1.0397207708399179", 1, 6,
+        232: ("1.1169614273363062", "exact", "1.0397207708399179", 0, 6,
               "0023c78aa4c10f29"),
-        235: ("1.0", "exact", "0.5", 1, 4,
+        235: ("1.0", "exact", "0.5", 0, 4,
               "1aa10e1ae2b1eff7"),
         267: ("1.1666666666666665", "exact", "0.6666666666666666", 152, 12,
               "7af986b993117cb3"),
@@ -1184,29 +1249,29 @@ class TestGolden:
               "ca184f942672dd39"),
         362: ("0.8517522107365838", "exact", "0.6931471805599453", 6, 4,
               "58eaaf2544a2205c"),
-        375: ("1.0", "exact", "0.5", 1, 4,
+        375: ("1.0", "exact", "0.5", 0, 4,
               "9280accb72b8e3a2"),
-        386: ("0.7827593392496324", "exact", "0.6931471805599453", 1, 12,
+        386: ("0.7827593392496324", "exact", "0.6931471805599453", 0, 12,
               "c2beaf54ee36f027"),
         412: ("0.9808292530117262", "exact", "0.8086717106532696", 16, 6,
               "26b82617e7832f1b"),
         421: ("0.75", "exact", "0.4166666666666667", 80, 12,
               "8157c3e61d257aa1"),
-        425: ("1.0833333333333333", "exact", "0.5833333333333334", 1, 12,
+        425: ("1.0833333333333333", "exact", "0.5833333333333334", 0, 12,
               "603be362d34a4f66"),
-        444: ("0.8109302162163288", "exact", "0.6931471805599453", 1, 6,
+        444: ("0.8109302162163288", "exact", "0.6931471805599453", 0, 6,
               "732b8b729a27ff9e"),
-        456: ("0.8109302162163288", "exact", "0.6931471805599453", 1, 4,
+        456: ("0.8109302162163288", "exact", "0.6931471805599453", 0, 4,
               "014d608ac5b8e94c"),
         462: ("0.8191269834205073", "exact", "0.6931471805599453", 11, 6,
               "1ac9e89ae048f160"),
-        478: ("0.6931471805599453", "exact", "0.5776226504666211", 1, 12,
+        478: ("0.6931471805599453", "exact", "0.5776226504666211", 0, 12,
               "500cc2564539357a"),
-        485: ("1.0", "exact", "0.5", 1, 4,
+        485: ("1.0", "exact", "0.5", 0, 4,
               "182337e92fb39f1a"),
-        487: ("0.75", "exact", "0.375", 1, 12,
+        487: ("0.75", "exact", "0.375", 0, 12,
               "cb41ae8330c4ed1b"),
-        503: ("1.0", "exact", "0.5", 1, 6,
+        503: ("1.0", "exact", "0.5", 0, 6,
               "187f7e76d744e10a"),
         877: ("0.9999999999999999", "exact", "0.5833333333333334", 1096, 12,
               "6d7d110a90d47db2"),
