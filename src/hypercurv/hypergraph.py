@@ -57,6 +57,7 @@ class Hypergraph:
         self.incidence: tuple[tuple[int, ...], ...] = self._build_incidence()
         self._neighbors: list[tuple[int, ...]] | None = None
         self._dist: list[list[int]] | None = None
+        self._cut_groups: tuple[tuple[tuple[int, ...], ...], ...] | None = None
         self._report, self._findings = self._validate(source_lines or {})
         if strict:
             self.require_valid()
@@ -177,6 +178,44 @@ class Hypergraph:
 
     def distance_id(self, a: int, b: int) -> int:
         return self.distance_matrix()[a][b]
+
+    def cut_groups(self) -> tuple[tuple[tuple[int, ...], ...], ...]:
+        """Per hyperedge k, the vertex sets of the connected components of
+        the hypergraph with k removed, all but one largest, cached.
+
+        Components are found by breadth-first search from the lowest
+        unvisited id and listed in that order, each sorted; the first
+        largest is left out.  Every other hyperedge lies inside one
+        component, so only steps on k move mass between them.  A vertex
+        in k alone is a component of its own, and where k is no cut the
+        groups are exactly those singletons.
+        """
+        if self._cut_groups is None:
+            out = []
+            for k in range(len(self.edges)):
+                comp_of = [-1] * self.n
+                used = [False] * len(self.edges)
+                used[k] = True
+                comps = []
+                for s in range(self.n):
+                    if comp_of[s] >= 0:
+                        continue
+                    comp_of[s] = len(comps)
+                    members = [s]
+                    for v in members:  # grows while it is read: a BFS
+                        for j in self.incidence[v]:
+                            if not used[j]:
+                                used[j] = True
+                                for w in self.edges[j]:
+                                    if comp_of[w] < 0:
+                                        comp_of[w] = len(comps)
+                                        members.append(w)
+                    comps.append(members)
+                big = max(range(len(comps)), key=lambda c: len(comps[c]))
+                out.append(tuple(tuple(sorted(c)) for i, c in enumerate(comps)
+                                 if i != big))
+            self._cut_groups = tuple(out)
+        return self._cut_groups
 
 
 # -- module-level operations ---------------------------------------------------

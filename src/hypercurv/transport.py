@@ -30,16 +30,18 @@ every state so, which lets a popped state be priced out of the search by
 the potentials already seen (a bundle, the piecewise-linear minorant of
 Kelley's cutting-plane method, J. SIAM 1960) before its own W1 solve.
 
-A second bound reads the hyperedges.  A vertex in one hyperedge e only is
-private to e, and only steps on e change it, so those steps move at least
-L_e, the larger of the private vertices' excess and deficit against the
-goal.  Concavity of h then prices every edge's share of W1 from below (see
-_private_bound).  The search prunes on it but orders by the envelope of W1
-alone, so it stays a branch-and-bound test on an admissible bound (Hart,
-Nilsson and Raphael, IEEE Trans. SSC 1968) and drops no cheaper plan.  At
-the start the same bound can certify the greedy seed, which then ends the
-branch and bound before it expands anything (Land and Doig, Econometrica
-1960).
+A second bound reads the hyperedges.  Removing a hyperedge e splits the
+hypergraph into components, and every other hyperedge lies inside one of
+them, so only steps on e move mass between them.  A step moving m on e
+lowers the components' total excess against the goal by at most m, so the
+steps on e move at least L_e, that total (see Hypergraph.cut_groups and
+_imbalance).  Concavity of h then prices every edge's share of W1 from
+below (see _cut_bound).  The search prunes on it but orders by the
+envelope of W1 alone, so it stays a branch-and-bound test on an admissible
+bound (Hart, Nilsson and Raphael, IEEE Trans. SSC 1968) and drops no
+cheaper plan.  At the start the same bound can certify the greedy seed,
+which then ends the branch and bound before it expands anything (Land and
+Doig, Econometrica 1960).
 """
 
 from __future__ import annotations
@@ -220,13 +222,15 @@ def _envelope(h1: float, price, w: int, D: int) -> float:
     return out
 
 
-def _imbalance(state, goal, private):
-    """L_e of an edge whose private vertices are the ids `private`: the
-    larger of their excess and their deficit against the goal, in grid
-    units."""
+def _imbalance(state, goal, groups):
+    """L_e of an edge whose cut groups are `groups` (see
+    Hypergraph.cut_groups): the larger of the groups' summed excess and
+    summed deficit against the goal, in grid units."""
     excess = deficit = 0
-    for v in private:
-        d = state[v] - goal[v]
+    for grp in groups:
+        d = 0
+        for v in grp:
+            d += state[v] - goal[v]
         if d > 0:
             excess += d
         else:
@@ -237,7 +241,7 @@ def _imbalance(state, goal, private):
 def _zeroed_terms(env, L):
     """Per edge k, the terms (sum, top, rest) of the imbalances L with
     L[k] set to 0: top is their largest and rest is the envelope summed
-    over all of them but one top (see _private_bound)."""
+    over all of them but one top (see _cut_bound)."""
     total = sum(L)
     env_sum = sum(map(env, L))
     second, first = sorted([0] + L)[-2:]
@@ -256,7 +260,7 @@ def _put(env, terms, c):
     return total + c, top, rest + env(c)
 
 
-def _private_bound(env, D, terms, w):
+def _cut_bound(env, D, terms, w):
     """A lower bound on the cost of every plan that moves at least w units
     of W1 and at least L_e units on each edge e, from the terms (sum, top,
     rest) of the imbalances L (see _zeroed_terms and wh_exact).
@@ -388,8 +392,8 @@ def _exhaustive(cur, hi, ts, dear):
     edge minimum) and t = sum(hi * (new - cur)) is the net mass a child
     moves onto them; the dual bound of a child depends on t alone, and
     moved >= |t|.  `dear` must be nondecreasing in both arguments, as the
-    search's test is: it adds the step price of moved to the private-
-    vertex bound at W1 + t, and both are nondecreasing.  Only the groups
+    search's test is: it adds the step price of moved to the cut bound at
+    W1 + t, and both are nondecreasing.  Only the groups
     _open_groups keeps are enumerated, and group t only up to its cap:
     the largest moved in [|t|, the most the group can move] that
     dear(moved, t) keeps (see _last_kept).  Each child is then dropped
@@ -550,17 +554,21 @@ def wh_exact(H: Hypergraph, h: ConcaveCost, mu: ProbMeasure, nu: ProbMeasure,
     gives both the seed's flows and the start's potential.
 
     The certificate.  Before anything else is set up, the seed is compared
-    with lb(L, W1) of the start, the private-vertex bound below at the
-    start's own imbalances and W1.  That bound holds for every plan from
-    the start, so a seed within the slack of it is optimal within the
-    slack.  It is returned at once as exact, with lower_bound h(1) * W1
-    and states_expanded = 0, whatever max_states is.  A search run to its
-    end would return the same value, plan and lower bound: no plan it
-    could find is cheaper than the seed by more than the slack, so the
-    incumbent, and with it the plan, never changes.  The bound reads no successor family,
-    so a certified result is exact even where the structured family is in
-    force.  Under linear h every seed that moves mass is certified: it
-    costs h(1) * W1, which the bound reaches.
+    with lb(L, W1) of the start, the cut bound below at the start's own
+    imbalances and W1.  It is first read from the private vertices alone,
+    which give no larger L and need no search of the hypergraph, and from
+    the cut groups only if that leaves the seed open; the cut groups are
+    built on first use and kept by the hypergraph.  That bound holds for
+    every plan from the start, so a seed within the slack of it is
+    optimal within the slack.  It is returned at once as exact, with
+    lower_bound h(1) * W1 and states_expanded = 0, whatever max_states
+    is.  A search run to its end would return the same value, plan and
+    lower bound: no plan it could find is cheaper than the seed by more
+    than the slack, so the incumbent, and with it the plan, never
+    changes.  The bound reads no successor family, so a certified result
+    is exact even where the structured family is in force.  Under linear
+    h every seed that moves mass is certified: it costs h(1) * W1, which
+    the bound reaches.
 
     When the goal is popped, or the frontier drains without reaching it,
     the incumbent is optimal, and lower_bound is h(1) * W1.  Once max_states
@@ -584,14 +592,15 @@ def wh_exact(H: Hypergraph, h: ConcaveCost, mu: ProbMeasure, nu: ProbMeasure,
     moved >= |t|.  One rule pushes: a child is pushed exactly when
     g + h(moved) + lb(max(W1 + t, 0)) is below the incumbent, less the
     slack, and the child is neither closed nor reached before at no
-    higher cost, where lb is the private-vertex bound below at the
-    child's own imbalances.  The enumerations are handed dear(moved, t),
-    the same sum with the visited edge's L_k set to 0, which is never
-    larger, and the incumbent only falls: so they only skip, and nothing
-    they skip is pushed.  h(m / D) and lb are nondecreasing, so dear is
-    nondecreasing in both moved and t, and the successors are found on
-    that contract: the exhaustive enumeration skips untried a whole
-    range of t groups whose cheapest possible child is too dear and
+    higher cost, where lb is the cut bound below at the child's own
+    imbalances.  The enumerations are handed dear(moved, t), the same sum
+    with the visited edge's L_k set to 0, which is never larger (a child
+    that passes is also tested with dear, so rounding cannot make it
+    larger), and the incumbent only falls: so they only skip, and
+    nothing they skip is pushed.  h(m / D) and lb are nondecreasing, so
+    dear is nondecreasing in both moved and t, and the successors are
+    found on that contract: the exhaustive enumeration skips untried a
+    whole range of t groups whose cheapest possible child is too dear and
     enumerates each open group only up to the first moved mass that is
     too dear, and the structured family caps moved once for all its
     children.
@@ -618,17 +627,26 @@ def wh_exact(H: Hypergraph, h: ConcaveCost, mu: ProbMeasure, nu: ProbMeasure,
     drops, so expansions, values, plans and push order are those of a
     search that solves W1 at every pop, with a subsequence of its solves.
 
-    The private-vertex bound lb.  A vertex of hyperedge e that lies in no
-    other hyperedge is private to e, and L_e is the larger of two sums
-    over e's private vertices v, in grid units: the excess
-    sum (state_v - goal_v)+ and the deficit sum (goal_v - state_v)+.  Only
-    steps on e change a private vertex of e, so the steps on e move
-    M_e >= L_e in total.  A step changes W1 by at most the mass it moves,
-    so sum M_e >= W1, and it moves at most D units, so the steps on e
-    cost at least envelope(M_e).  The envelope is concave on [0, D], so
-    the increment envelope(x + R) - envelope(x) is nonincreasing in x and
-    extra mass is cheapest on the edge of largest L_e.  With
-    L* = max L_e and R = min(max(w - sum L, 0), D - L*),
+    The cut bound lb.  Removing hyperedge e leaves the components of the
+    hypergraph without e; for a component C let d_C be the sum of
+    state_v - goal_v over its vertices v, in grid units, so the d_C sum
+    to 0, and let L_e be their total excess sum d_C+.  Every other
+    hyperedge lies inside one component, so a step on it changes no d_C:
+    only steps on e do, and a step moving m on e lowers sum d_C+ by at
+    most m.  It is 0 at the goal, so the steps on e move M_e >= L_e in
+    total.  Hypergraph.cut_groups lists the components but one largest,
+    and _imbalance takes max(sum d+, sum d-) over them: the left-out d
+    is minus the sum of the others, so this is L_e whichever component
+    is left out.  A vertex in e alone is a component of its own, so L_e
+    is never below the larger of the excess and deficit of e's private
+    vertices, and equals it where the hypergraph without e is private
+    singletons and one component, as at every grid9 hyperedge; on a
+    path every hyperedge is a cut.  A step changes W1 by at most the
+    mass it moves, so sum M_e >= W1, and it moves at most D units, so
+    the steps on e cost at least envelope(M_e).  The envelope is concave
+    on [0, D], so the increment envelope(x + R) - envelope(x) is
+    nonincreasing in x and extra mass is cheapest on the edge of largest
+    L_e.  With L* = max L_e and R = min(max(w - sum L, 0), D - L*),
 
         lb(L, w) = max(envelope(w),
                        sum envelope(L_e) - envelope(L*) + envelope(L* + R))
@@ -644,16 +662,18 @@ def wh_exact(H: Hypergraph, h: ConcaveCost, mu: ProbMeasure, nu: ProbMeasure,
     1. The start is tested with lb(L, W1) against the seed: the
        certificate above.
     2. dear for a visit of edge k uses L with L_k set to 0, as a step on
-       k changes no other edge's private vertices and can lower L_k; dear
-       keeps its monotone contract, so more groups are skipped untried.
+       k changes no other edge's L_j and can lower L_k; dear keeps its
+       monotone contract, so more groups are skipped untried.
     3. The push rule tests every child with its own L_k.
     4. A popped state is tested with lb(L, b) against the bundle and with
        lb(L, W1) after its solve.
 
-    Where no edge has a private imbalance, lb is the envelope and each
-    test is the one above.  On grid9 x,y under log at alpha = 1/4 the
-    search expands 223 states and makes 225 kernel solves with the bound,
-    and 2,224 and 2,226 without it.
+    Where no edge has a cut imbalance, lb is the envelope and each test
+    is the one above.  On grid9 x,y under log at alpha = 1/4 the search
+    expands 223 states and makes 225 kernel solves with the bound, and
+    2,224 and 2,226 without it.  On the four-edge path, v1,v4 under log
+    at alpha = 1/4 is certified unsearched; with the private vertices
+    alone it expanded 41 states.
     """
     return _search(H, h, mu, nu, common_denominator([mu, nu]), max_states,
                    unpruned)
@@ -683,16 +703,23 @@ def _search(H, h, mu, nu, D, max_states, unpruned):
                                      tol)
 
     edge_lists = [tuple(e) for e in H.edges]
-    # per edge, its private vertices: those in no other edge
-    private = [tuple([v for v in e if len(H.incidence[v]) == 1])
-               for e in edge_lists]
     env_of = functools.cache(lambda w: _envelope(h1, cost_of, w, D))
-    # the certificate: the start's private-vertex bound at its own W1
-    # bounds every plan, so a seed that meets it is optimal unsearched
-    imbalances = [_imbalance(start, goal, p) for p in private]
-    terms = _put(env_of, _zeroed_terms(env_of, imbalances)[0], imbalances[0])
-    if _private_bound(env_of, D, terms, lower_units) >= incumbent_g - tol:
+    # the certificate: the start's cut bound at its own W1 bounds every
+    # plan, so a seed that meets it is optimal unsearched.  The private
+    # vertices, each a cut group of its own, are read first: they give
+    # no larger L, so a seed they certify the cut groups certify too, and
+    # the cut groups are only built for a seed they leave open.
+    def certified(groups):
+        imbalances = [_imbalance(start, goal, grp) for grp in groups]
+        terms = _put(env_of, _zeroed_terms(env_of, imbalances)[0],
+                     imbalances[0])
+        return _cut_bound(env_of, D, terms, lower_units) >= incumbent_g - tol
+
+    private = [tuple([(v,) for v in e if len(H.incidence[v]) == 1])
+               for e in edge_lists]
+    if certified(private) or certified(H.cut_groups()):
         return WhResult(incumbent_g, greedy_plan, "exact", lower, 0, D)
+    groups = H.cut_groups()
 
     goal_by_edge = [tuple(goal[v] for v in e) for e in edge_lists]
     g_best = {start: 0.0}
@@ -716,15 +743,15 @@ def _search(H, h, mu, nu, D, max_states, unpruned):
             continue
         if state == goal:
             break
-        # the private imbalances, and per edge k their terms with L_k = 0
-        imbalances = [_imbalance(state, goal, p) for p in private]
+        # the cut imbalances, and per edge k their terms with L_k = 0
+        imbalances = [_imbalance(state, goal, grp) for grp in groups]
         zeroed = _zeroed_terms(env_of, imbalances)
         if not evaluated:
             terms = _put(env_of, zeroed[0], imbalances[0])
             # every potential is 1-Lipschitz, so <p, state - goal> <= W1
             diff = [s - q for s, q in zip(state, goal)]
             cut = next((i for i, p in enumerate(bundle)
-                        if g + _private_bound(
+                        if g + _cut_bound(
                             env_of, D, terms,
                             sum(map(operator.mul, p, diff)))
                         >= incumbent_g - tol), None)
@@ -735,7 +762,7 @@ def _search(H, h, mu, nu, D, max_states, unpruned):
             true_units, pot = w1_units(H, state, goal)
             if pot not in bundle:
                 bundle.append(pot)
-            if (g + _private_bound(env_of, D, terms, true_units)
+            if (g + _cut_bound(env_of, D, terms, true_units)
                     >= incumbent_g - tol):
                 continue
             ft = g + env_of(true_units)
@@ -755,10 +782,10 @@ def _search(H, h, mu, nu, D, max_states, unpruned):
         closed.add(state)
         expanded += 1
 
-        # the test of a visit of edge k: its private imbalance set to 0
+        # the test of a visit of edge k: its cut imbalance set to 0
         def dear(moved, t):
             return (g + cost_of(moved)
-                    + _private_bound(env_of, D, zeroed[k], max(w1u + t, 0))
+                    + _cut_bound(env_of, D, zeroed[k], max(w1u + t, 0))
                     >= incumbent_g - tol)
 
         for k, edge in enumerate(edge_lists):
@@ -778,14 +805,19 @@ def _search(H, h, mu, nu, D, max_states, unpruned):
                 # the push rule: dear's bound with the child's own L_k
                 g2 = g + cost_of(moved)
                 w = max(w1u + t, 0)
-                if g2 + _private_bound(
-                        env_of, D, _put(env_of, zeroed[k],
-                                        _imbalance(child, goal, private[k])),
-                        w) >= incumbent_g - tol:
+                own = _imbalance(child, goal, groups[k])
+                if g2 + _cut_bound(env_of, D, _put(env_of, zeroed[k], own),
+                                   w) >= incumbent_g - tol:
                     continue
                 if child in closed:
                     continue
                 if g2 >= g_best.get(child, math.inf) - slack:
+                    continue
+                # the bound with own L_k is never below dear's in exact
+                # arithmetic but may be an ulp below in floating point, so
+                # a child is also tested with dear: nothing dear drops is
+                # pushed.  With own L_k = 0 the two bounds are one float.
+                if own and dear(moved, t):
                     continue
                 g_best[child] = g2
                 parents[child] = (state, k, edge, cur, new_vals)

@@ -253,7 +253,7 @@ class TestHlly:
 
     def test_complete_three_work_pinned(self, monkeypatch):
         # the greedy seed prices its one step from the search's memo, and
-        # the start's private-vertex bound certifies the seed at that same
+        # the start's cut bound certifies the seed at that same
         # price, so the eight solves (D up to 2,048) evaluate h once each.
         # Searching from the seed took 319 evaluations with a range of too
         # dear t groups skipped whole, and 4,080 with every t group tested

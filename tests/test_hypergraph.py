@@ -228,3 +228,61 @@ class TestCliqueExpansion:
                     db = G.distance_id(G.vertex_id(H.label(a)),
                                        G.vertex_id(H.label(b)))
                     assert da == db
+
+
+class TestCutGroups:
+    """Per hyperedge, the components of the hypergraph without it, all but
+    one largest (see Hypergraph.cut_groups)."""
+
+    @staticmethod
+    def _labelled(H):
+        return [[{H.label(v) for v in grp} for grp in groups]
+                for groups in H.cut_groups()]
+
+    def test_grid9_private_corners(self):
+        # each 2x2 block is no cut: the groups are its private corner
+        H = generate("grid9")
+        assert self._labelled(H) == [[{"v1"}], [{"v3"}], [{"y"}], [{"v9"}]]
+
+    def test_path_every_edge_a_cut(self):
+        # the smaller side of each edge; on a tie the first side is left out
+        assert self._labelled(generate("path", 4)) == [
+            [{"v0"}], [{"v0", "v1"}], [{"v3", "v4"}], [{"v4"}]]
+        assert self._labelled(generate("path", 3)) == [
+            [{"v0"}], [{"v2", "v3"}], [{"v3"}]]
+
+    def test_no_cut_no_group(self):
+        assert self._labelled(generate("cycle", 5)) == [[]] * 5
+        assert self._labelled(generate("complete", 4)) == [[]] * 6
+
+    def test_single_edge_leaves_one_vertex_out(self):
+        H = parse_hypergraph("a b c")
+        assert self._labelled(H) == [[{"b"}, {"c"}]]
+
+    @staticmethod
+    def _components_without(H, k):
+        # merge the vertex sets of every hyperedge but k
+        comp = {v: frozenset([v]) for v in range(H.n)}
+        for j, e in enumerate(H.edges):
+            if j != k:
+                merged = frozenset().union(*(comp[v] for v in e))
+                comp.update(dict.fromkeys(merged, merged))
+        return set(comp.values())
+
+    def test_components_but_one_largest(self):
+        # the groups and what they leave out are the components without
+        # the hyperedge, and none of the groups is larger than the rest
+        rng = random.Random(23)
+        for _ in range(200):
+            H = random_hypergraph(rng)
+            for k, groups in enumerate(H.cut_groups()):
+                parts = [frozenset(grp) for grp in groups]
+                rest = frozenset(range(H.n)).difference(*parts)
+                assert set(parts) | {rest} == self._components_without(H, k)
+                assert len(parts) + 1 == len(self._components_without(H, k))
+                assert all(len(p) <= len(rest) for p in parts)
+                assert all(list(grp) == sorted(grp) for grp in groups)
+
+    def test_cached(self):
+        H = generate("path", 4)
+        assert H.cut_groups() is H.cut_groups()

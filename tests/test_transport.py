@@ -29,6 +29,7 @@ from hypercurv import (
     wh_exact,
     wh_heuristic,
 )
+from hypercurv.curvature import catalog, catalog_instance, orc_alpha_h
 from hypercurv.errors import (
     EndpointMismatch,
     NegativeIntermediateMass,
@@ -46,7 +47,7 @@ from hypercurv.transport import (
     _merge_pass,
     _open_groups,
     _parcel_path,
-    _private_bound,
+    _cut_bound,
     _put,
     _search,
     _step_prices,
@@ -355,7 +356,7 @@ class TestExact:
         # hyperedge W1 is the moved mass m <= 1, and envelope(m) = h(m)), so
         # the goal is popped right after it is pushed.  Half the envelope is
         # still admissible and leaves states to expand in between (the
-        # private-vertex bound, built on the envelope, halves with it): on
+        # cut bound, built on the envelope, halves with it): on
         # grid9 x,y at 1/8 the goal is pushed by expansion 1,185 and popped
         # at 12,110, so a budget of 1,500 runs out with the goal on the heap.
         envelope = transport._envelope
@@ -894,6 +895,11 @@ class TestPushRule:
 
         def skips(H, h, mu, nu):
             as_is, kept = run(H, h, mu, nu, False)
+            if not as_is[0][3]:
+                # nothing expanded, so no stream ran and dear was never
+                # asked: keeping everything would change nothing
+                assert (kept, as_is[1]) == (0, [])
+                return False
             keep_all, every = run(H, h, mu, nu, True)
             assert as_is == keep_all
             return kept < every
@@ -902,7 +908,7 @@ class TestPushRule:
             heappush=push, heappop=heapq.heappop))
         # a certified seed returns before any stream runs, so instances
         # are drawn until 300 of them skip, 4,000 at most: seed 2100
-        # draws 2,402
+        # draws 2,699, of which 300 are searched
         skipped = 0
         for H, h, mu, nu in itertools.islice(self._instances(2100), 4000):
             skipped += skips(H, h, mu, nu)
@@ -961,8 +967,11 @@ def _distances_to(H, h, goal, D):
     return dist
 
 
-def _private_vertices(H):
-    return [tuple(v for v in e if len(H.incidence[v]) == 1) for e in H.edges]
+def _private_groups(H):
+    # per edge, its private vertices (those in no other edge) as singleton
+    # groups: the imbalances the search pruned on before the cut groups
+    return [tuple((v,) for v in e if len(H.incidence[v]) == 1)
+            for e in H.edges]
 
 
 def _as_measure(H, units, D):
@@ -970,8 +979,71 @@ def _as_measure(H, units, D):
                         for v, u in enumerate(units) if u})
 
 
+def _admissible_counts(instances):
+    """Check the bounds the search prunes on against the plain Dijkstra
+    over the grid, on (H, h, D, start, goal) instances.
+
+    lb(L(state), W1(state)) never exceeds the cheapest plan from the
+    state, nor does the bound each child on edge k is tested with: L_k set
+    to 0 (dear) or to the child's own L_k (push), with the dual bound
+    W1 + t; and dear's bound never exceeds the push bound but by float
+    rounding, and the search tests a child that passes with dear as well,
+    so a child dear drops is never pushed.  Children are checked from the
+    start and six sampled states.  Returns four counts: states where W1
+    exceeds one unit of mass and the cap D - L* binds, states where the
+    bound beats the envelope, children whose own L_k makes the push bound
+    the larger, and states where the cut groups beat the private
+    vertices."""
+    capped = stronger = raised = beats_private = 0
+    for H, h, D, start, goal in instances:
+        tol = COST_TOL * h.h1
+        env = functools.cache(
+            lambda w: _envelope(h.h1, _step_prices(h, D), w, D))
+        dist = _distances_to(H, h, goal, D)
+        groups = H.cut_groups()
+        private = _private_groups(H)
+        rng = random.Random(D)
+        sample = {start, *rng.sample(sorted(dist), 6)}
+        for state in sorted(dist):
+            w1u, f = w1_units(H, state, goal)
+            L = [_imbalance(state, goal, grp) for grp in groups]
+            zeroed = _zeroed_terms(env, L)
+            terms = _put(env, zeroed[0], L[0])
+            total, top, _ = terms
+            lb = _cut_bound(env, D, terms, w1u)
+            assert lb <= dist[state] + tol
+            capped += w1u > D and w1u - total > D - top > 0
+            stronger += lb > env(w1u) + tol
+            P = [_imbalance(state, goal, grp) for grp in private]
+            beats_private += lb > _cut_bound(
+                env, D, _put(env, _zeroed_terms(env, P)[0], P[0]), w1u) + tol
+            if state not in sample:
+                continue
+            for k, edge in enumerate(H.edges):
+                cur = [state[v] for v in edge]
+                for new in _spread(sum(cur), len(edge)):
+                    child = list(state)
+                    for v, n in zip(edge, new):
+                        child[v] = n
+                    child = tuple(child)
+                    w = max(w1u + sum(f[v] * (child[v] - state[v])
+                                      for v in edge), 0)
+                    dear = _cut_bound(env, D, zeroed[k], w)
+                    own = _cut_bound(env, D, _put(
+                        env, zeroed[k], _imbalance(child, goal, groups[k])), w)
+                    # the push bound is never below dear's in exact
+                    # arithmetic; the search tests a child with both, so in
+                    # floating point it is pushed below the larger
+                    assert dear - own <= 4 * math.ulp(dear)
+                    push = max(dear, own)
+                    assert push <= dist[child] + tol
+                    raised += push > dear
+    return capped, stronger, raised, beats_private
+
+
 class TestPrivateBound:
-    """The private-vertex bound wh_exact prunes on (see _private_bound)."""
+    """The bound wh_exact prunes on, from the imbalance L_e each hyperedge
+    must carry across its cut (see _imbalance and _cut_bound)."""
 
     @staticmethod
     def _instances(seed, count):
@@ -995,50 +1067,10 @@ class TestPrivateBound:
             yield H, COSTS[n % len(COSTS)], D, ends[0], ends[1]
 
     def test_admissible(self):
-        # lb(L(state), W1(state)) never exceeds the cheapest plan from the
-        # state, nor does the bound each child on edge k is tested with:
-        # L_k set to 0 (dear) or to the child's own L_k (push), with the
-        # dual bound W1 + t; and dear's bound never exceeds the push
-        # bound, so a child dear drops fails the push rule.  Instances
-        # where W1 exceeds one unit of mass and the cap D - L* binds are
-        # counted, as are states where the bound beats the envelope and
-        # children whose own L_k makes the push bound the larger.
-        capped = stronger = raised = 0
-        for H, h, D, start, goal in self._instances(9000, 150):
-            tol = COST_TOL * h.h1
-            env = functools.cache(
-                lambda w: _envelope(h.h1, _step_prices(h, D), w, D))
-            dist = _distances_to(H, h, goal, D)
-            private = _private_vertices(H)
-            rng = random.Random(D)
-            sample = {start, *rng.sample(sorted(dist), 6)}
-            for state in sorted(dist):
-                w1u, f = w1_units(H, state, goal)
-                L = [_imbalance(state, goal, p) for p in private]
-                zeroed = _zeroed_terms(env, L)
-                terms = _put(env, zeroed[0], L[0])
-                total, top, _ = terms
-                lb = _private_bound(env, D, terms, w1u)
-                assert lb <= dist[state] + tol
-                capped += w1u > D and w1u - total > D - top > 0
-                stronger += lb > env(w1u) + tol
-                if state not in sample:
-                    continue
-                for k, edge in enumerate(H.edges):
-                    cur = [state[v] for v in edge]
-                    for new in _spread(sum(cur), len(edge)):
-                        child = list(state)
-                        for v, n in zip(edge, new):
-                            child[v] = n
-                        child = tuple(child)
-                        w = max(w1u + sum(f[v] * (child[v] - state[v])
-                                          for v in edge), 0)
-                        dear = _private_bound(env, D, zeroed[k], w)
-                        own = _imbalance(child, goal, private[k])
-                        push = _private_bound(env, D,
-                                              _put(env, zeroed[k], own), w)
-                        assert dear <= push <= dist[child] + tol
-                        raised += push > dear
+        # see _admissible_counts; 200 instances reach 50 states where the
+        # cap binds (150 reached 37 once the cut groups raised sum(L))
+        capped, stronger, raised, _ = _admissible_counts(
+            self._instances(9000, 200))
         assert capped >= 50 and stronger >= 400 and raised >= 2000
 
     def test_terms_match_their_definition(self):
@@ -1123,8 +1155,8 @@ class TestPrivateBound:
 
 
 class TestCertificate:
-    """A greedy seed that meets the start's private-vertex bound at the
-    start's own W1 is returned unsearched: exact, with no expansion."""
+    """A greedy seed that meets the start's cut bound at the start's own
+    W1 is returned unsearched: exact, with no expansion."""
 
     def test_linear_always_certified(self):
         # under linear h the seed costs h(1) * W1, which the bound equals,
@@ -1176,6 +1208,107 @@ class TestCertificate:
         assert min(certified) >= 100
 
 
+class TestCutBound:
+    """L_e read from the components of the hypergraph without e (see
+    Hypergraph.cut_groups), which on a cut sees more than the private
+    vertices of e."""
+
+    @staticmethod
+    def _tree(rng):
+        # each hyperedge after the first shares one vertex with the ones
+        # before it and brings one or two new vertices: every hyperedge is
+        # a cut
+        labels, edges = ["u0"], []
+        for _ in range(rng.randint(2, 3)):
+            new = [f"u{len(labels) + i}" for i in range(rng.randint(1, 2))]
+            edges.append({rng.choice(labels), *new})
+            labels += new
+        return Hypergraph(labels, edges)
+
+    @classmethod
+    def _instances(cls, seed, count):
+        # hypertrees and paths of two to five edges, D = 2..4
+        rng = random.Random(seed)
+        for n in range(count):
+            H = (cls._tree(rng) if n % 2
+                 else generate("path", rng.randint(2, 5)))
+            D = rng.randint(2, 4)
+            start, goal = (tuple(TestDualBound._units(rng, H.n, D))
+                           for _ in range(2))
+            yield H, COSTS[n % len(COSTS)], D, start, goal
+
+    def test_admissible_on_trees(self):
+        # where the groups are more than the private vertices the bounds
+        # stay below the cheapest plan, and the cut form binds
+        _, _, raised, beats_private = _admissible_counts(
+            self._instances(2400, 60))
+        assert raised >= 1500 and beats_private >= 800
+
+    def test_never_below_private(self):
+        # a private vertex is a group of its own, so L_e only grows; on
+        # grid9 the groups are the private corners and L_e is unchanged
+        rng = random.Random(2401)
+        grid9 = generate("grid9")
+        assert list(grid9.cut_groups()) == _private_groups(grid9)
+        for n in range(300):
+            H = (grid9, random_hypergraph(rng), self._tree(rng))[n % 3]
+            D = rng.randint(1, 6)
+            state, goal = (tuple(TestDualBound._units(rng, H.n, D))
+                           for _ in range(2))
+            for groups, private in zip(H.cut_groups(), _private_groups(H)):
+                cut = _imbalance(state, goal, groups)
+                old = _imbalance(state, goal, private)
+                assert cut >= old
+                if H is grid9:
+                    assert cut == old
+
+    def test_any_group_left_out(self):
+        # the left-out component's imbalance is minus the others' sum, so
+        # leaving out any one component gives the same L_e
+        rng = random.Random(2402)
+        for n in range(200):
+            H = random_hypergraph(rng) if n % 2 else self._tree(rng)
+            D = rng.randint(1, 6)
+            state, goal = (tuple(TestDualBound._units(rng, H.n, D))
+                           for _ in range(2))
+            for groups in H.cut_groups():
+                rest = tuple(sorted(set(range(H.n)).difference(*groups)))
+                comps = list(groups) + [rest]
+                want = _imbalance(state, goal, groups)
+                for i in range(len(comps)):
+                    assert _imbalance(state, goal,
+                                      comps[:i] + comps[i + 1:]) == want
+
+    def test_groups_built_only_past_the_private_vertices(self):
+        # the certificate reads the private vertices first, so a seed they
+        # certify leaves the cut groups unbuilt; on the four-edge path
+        # v1,v4 under log at alpha = 1/4 only the cut groups certify
+        H = generate("path", 4)
+        mu = lazy_random_walk(H, "v1", Fraction(1, 4))
+        nu = lazy_random_walk(H, "v4", Fraction(1, 4))
+        assert wh_exact(H, H_LIN, mu, nu).states_expanded == 0
+        assert H._cut_groups is None
+        res = wh_exact(H, H_LOG, mu, nu)
+        assert (res.states_expanded, res.optimality) == (0, "exact")
+        assert H._cut_groups is not None
+
+    @pytest.mark.parametrize("h", [H_LOG, H_TRUNC])
+    def test_line_families_certified(self, h):
+        # on a path every hyperedge is a cut and the bound is tight: every
+        # line-family catalog instance is certified unsearched, on its
+        # closed form (42 of these 72 solves were searched before)
+        for family in ("line_ends", "line_end_next", "line_both_next"):
+            for d in (1, 2, 3):
+                H, x, y = catalog_instance(family, d)
+                for alpha in (Fraction(0), Fraction(1, 4), Fraction(1, 2),
+                              Fraction(3, 4)):
+                    val, res = orc_alpha_h(H, h, x, y, alpha, details=True)
+                    assert (res.states_expanded, res.optimality) == (
+                        0, "exact"), (family, d, alpha)
+                    want = catalog(family, d, h, alpha).kappa_h_alpha
+                    assert val == pytest.approx(want, abs=1e-12)
+
+
 def _record(res):
     return (repr(res.value), res.optimality, repr(res.lower_bound),
             res.states_expanded, res.quantization,
@@ -1187,9 +1320,12 @@ class TestGolden:
     Pushing children in another order breaks ties differently, which shows
     in the plan, the expansion count or both.  The expansion counts were
     recorded again when the search began to prune on the private-vertex
-    bound, which changed no other field, and once more when the start's
+    bound, which changed no other field, once more when the start's
     bound began to certify the greedy seed: 17 small seeds went from one
-    expansion to none, with every other field as it was."""
+    expansion to none, with every other field as it was, and again when
+    the bound began to read the cut groups of each hyperedge: seeds 95,
+    152 and 185 went from 3, 10 and 1 expansions to none, with every
+    other field as it was."""
 
     @pytest.mark.parametrize("h,alpha,want", [
         (H_LOG, Fraction(1, 8),
@@ -1217,7 +1353,7 @@ class TestGolden:
             "c8b66fd1cd0707e8"),
         92: ("1.0479685558493548", "exact", "0.9241962407465937", 0, 6,
              "9569edc22b0492d7"),
-        95: ("1.1666666666666667", "exact", "0.6666666666666666", 3, 6,
+        95: ("1.1666666666666667", "exact", "0.6666666666666666", 0, 6,
              "58588602a5b352d2"),
         97: ("1.0", "exact", "0.625", 8, 4,
              "ce200fdc997e5b78"),
@@ -1225,11 +1361,11 @@ class TestGolden:
               "a602819f61ce2ecf"),
         129: ("1.25", "exact", "0.875", 6, 4,
               "cb3989f433697ffe"),
-        152: ("1.229046441878052", "exact", "1.0397207708399179", 10, 4,
+        152: ("1.229046441878052", "exact", "1.0397207708399179", 0, 4,
               "bf367eb0e54ca4ab"),
         171: ("1.0", "exact", "0.5", 0, 4,
               "513a6895588c4f03"),
-        185: ("0.8333333333333333", "exact", "0.4166666666666667", 1, 6,
+        185: ("0.8333333333333333", "exact", "0.4166666666666667", 0, 6,
               "ab0bbf32de618a56"),
         193: ("0.8333333333333333", "exact", "0.4166666666666667", 0, 6,
               "092f74a6b341fa95"),
