@@ -275,6 +275,19 @@ def _cut_bound(env, D, terms, w):
     return max(env(w), rest + env(top + extra))
 
 
+def _push_bound(env, D, terms, own, w):
+    """The bound the push rule tests a child with: the cut bound at W1 =
+    w with the visited edge's L_k = own, from that edge's terms with L_k
+    = 0 (see _zeroed_terms), and never below the bound at L_k = 0 that
+    dear tests with.  In exact arithmetic the bound at own is never the
+    smaller, but _put's float sums can leave it an ulp short, so the
+    larger of the two is taken; at own = 0 they are one float."""
+    bound = _cut_bound(env, D, terms, w)
+    if own:
+        return max(bound, _cut_bound(env, D, _put(env, terms, own), w))
+    return bound
+
+
 def _delta_to_moves(labels, delta_units, D):
     """Minimal-displacement moves for an integer delta on one edge."""
     srcs = [[labels[i], -d] for i, d in enumerate(delta_units) if d < 0]
@@ -593,11 +606,10 @@ def wh_exact(H: Hypergraph, h: ConcaveCost, mu: ProbMeasure, nu: ProbMeasure,
     g + h(moved) + lb(max(W1 + t, 0)) is below the incumbent, less the
     slack, and the child is neither closed nor reached before at no
     higher cost, where lb is the cut bound below at the child's own
-    imbalances.  The enumerations are handed dear(moved, t), the same sum
-    with the visited edge's L_k set to 0, which is never larger (a child
-    that passes is also tested with dear, so rounding cannot make it
-    larger), and the incumbent only falls: so they only skip, and
-    nothing they skip is pushed.  h(m / D) and lb are nondecreasing, so
+    imbalances, taken never below dear's (see _push_bound).  The
+    enumerations are handed dear(moved, t), the same sum with the visited
+    edge's L_k set to 0, and the incumbent only falls: so they only skip,
+    and nothing they skip is pushed.  h(m / D) and lb are nondecreasing, so
     dear is nondecreasing in both moved and t, and the successors are
     found on that contract: the exhaustive enumeration skips untried a
     whole range of t groups whose cheapest possible child is too dear and
@@ -664,7 +676,8 @@ def wh_exact(H: Hypergraph, h: ConcaveCost, mu: ProbMeasure, nu: ProbMeasure,
     2. dear for a visit of edge k uses L with L_k set to 0, as a step on
        k changes no other edge's L_j and can lower L_k; dear keeps its
        monotone contract, so more groups are skipped untried.
-    3. The push rule tests every child with its own L_k.
+    3. The push rule tests every child with its own L_k, or with dear's
+       bound where rounding leaves that an ulp larger (see _push_bound).
     4. A popped state is tested with lb(L, b) against the bundle and with
        lb(L, W1) after its solve.
 
@@ -672,8 +685,7 @@ def wh_exact(H: Hypergraph, h: ConcaveCost, mu: ProbMeasure, nu: ProbMeasure,
     is the one above.  On grid9 x,y under log at alpha = 1/4 the search
     expands 223 states and makes 225 kernel solves with the bound, and
     2,224 and 2,226 without it.  On the four-edge path, v1,v4 under log
-    at alpha = 1/4 is certified unsearched; with the private vertices
-    alone it expanded 41 states.
+    at alpha = 1/4 is certified unsearched.
     """
     return _search(H, h, mu, nu, common_denominator([mu, nu]), max_states,
                    unpruned)
@@ -805,19 +817,13 @@ def _search(H, h, mu, nu, D, max_states, unpruned):
                 # the push rule: dear's bound with the child's own L_k
                 g2 = g + cost_of(moved)
                 w = max(w1u + t, 0)
-                own = _imbalance(child, goal, groups[k])
-                if g2 + _cut_bound(env_of, D, _put(env_of, zeroed[k], own),
-                                   w) >= incumbent_g - tol:
+                if g2 + _push_bound(env_of, D, zeroed[k],
+                                    _imbalance(child, goal, groups[k]),
+                                    w) >= incumbent_g - tol:
                     continue
                 if child in closed:
                     continue
                 if g2 >= g_best.get(child, math.inf) - slack:
-                    continue
-                # the bound with own L_k is never below dear's in exact
-                # arithmetic but may be an ulp below in floating point, so
-                # a child is also tested with dear: nothing dear drops is
-                # pushed.  With own L_k = 0 the two bounds are one float.
-                if own and dear(moved, t):
                     continue
                 g_best[child] = g2
                 parents[child] = (state, k, edge, cur, new_vals)

@@ -48,6 +48,7 @@ from hypercurv.transport import (
     _open_groups,
     _parcel_path,
     _cut_bound,
+    _push_bound,
     _put,
     _search,
     _step_prices,
@@ -864,12 +865,17 @@ class TestPushRule:
                    cli._random_measure(rng, H))
 
     def test_keep_everything_dear_changes_nothing(self, monkeypatch):
-        # handing both streams a dear that keeps every child leaves the
-        # result, states_expanded, plan and the pushed heap entries, in
-        # order, as they are; the streams do skip: they yield fewer
-        # children as is than when they keep everything
+        # handing both streams a dear that keeps every child, and pushing
+        # with the child's own L_k alone rather than never below dear's
+        # bound, leaves the result, states_expanded, plan and the pushed
+        # heap entries, in order, as they are; the streams do skip: they
+        # yield fewer children as is than when they keep everything
         pushed, streamed = [], [0]
         exhaustive, structured = transport._exhaustive, transport._structured
+        push_bound = transport._push_bound
+
+        def own_bound(env, D, terms, own, w):
+            return _cut_bound(env, D, _put(env, terms, own), w)
 
         def push(heap, item):
             pushed.append(item)
@@ -888,6 +894,8 @@ class TestPushRule:
             monkeypatch.setattr(
                 transport, "_structured", lambda cur, goal, hi, dear: counted(
                     structured(cur, goal, hi, pick(dear))))
+            monkeypatch.setattr(transport, "_push_bound",
+                                own_bound if keep_all else push_bound)
             pushed.clear()
             streamed[0] = 0
             res = wh_exact(H, h, mu, nu)
@@ -985,11 +993,10 @@ def _admissible_counts(instances):
 
     lb(L(state), W1(state)) never exceeds the cheapest plan from the
     state, nor does the bound each child on edge k is tested with: L_k set
-    to 0 (dear) or to the child's own L_k (push), with the dual bound
-    W1 + t; and dear's bound never exceeds the push bound but by float
-    rounding, and the search tests a child that passes with dear as well,
-    so a child dear drops is never pushed.  Children are checked from the
-    start and six sampled states.  Returns four counts: states where W1
+    to 0 (dear) or to the child's own L_k (push, see _push_bound), with
+    the dual bound W1 + t; and dear's bound never exceeds the push bound,
+    so a child dear drops fails the push rule.  Children are checked from
+    the start and six sampled states.  Returns four counts: states where W1
     exceeds one unit of mass and the cap D - L* binds, states where the
     bound beats the envelope, children whose own L_k makes the push bound
     the larger, and states where the cut groups beat the private
@@ -1029,14 +1036,9 @@ def _admissible_counts(instances):
                     w = max(w1u + sum(f[v] * (child[v] - state[v])
                                       for v in edge), 0)
                     dear = _cut_bound(env, D, zeroed[k], w)
-                    own = _cut_bound(env, D, _put(
-                        env, zeroed[k], _imbalance(child, goal, groups[k])), w)
-                    # the push bound is never below dear's in exact
-                    # arithmetic; the search tests a child with both, so in
-                    # floating point it is pushed below the larger
-                    assert dear - own <= 4 * math.ulp(dear)
-                    push = max(dear, own)
-                    assert push <= dist[child] + tol
+                    push = _push_bound(env, D, zeroed[k],
+                                       _imbalance(child, goal, groups[k]), w)
+                    assert dear <= push <= dist[child] + tol
                     raised += push > dear
     return capped, stronger, raised, beats_private
 
@@ -1296,7 +1298,7 @@ class TestCutBound:
     def test_line_families_certified(self, h):
         # on a path every hyperedge is a cut and the bound is tight: every
         # line-family catalog instance is certified unsearched, on its
-        # closed form (42 of these 72 solves were searched before)
+        # closed form
         for family in ("line_ends", "line_end_next", "line_both_next"):
             for d in (1, 2, 3):
                 H, x, y = catalog_instance(family, d)
