@@ -977,7 +977,8 @@ def _distances_to(H, h, goal, D):
 
 def _private_groups(H):
     # per edge, its private vertices (those in no other edge) as singleton
-    # groups: the imbalances the search pruned on before the cut groups
+    # groups: L_e from the private vertices alone, which the cut groups
+    # never fall below
     return [tuple((v,) for v in e if len(H.incidence[v]) == 1)
             for e in H.edges]
 
