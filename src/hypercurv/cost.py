@@ -139,8 +139,12 @@ class ConcaveCost:
         # piecewise linear, so the one-sided slopes at 0 and 1 are those of
         # the end segments, each rounded once from its exact rational value
         pts = self.points
-        hp0, hp1 = (float((Fraction(y1) - Fraction(y0)) / (x1 - x0))
-                    for (x0, y0), (x1, y1) in (pts[:2], pts[-2:]))
+        try:
+            hp0, hp1 = (float((Fraction(y1) - Fraction(y0)) / (x1 - x0))
+                        for (x0, y0), (x1, y1) in (pts[:2], pts[-2:]))
+        except OverflowError:
+            raise ValueError(
+                "tabulated slope outside the range of floats") from None
         return self.eval(1), hp0, hp1
 
     def constants(self):

@@ -295,6 +295,19 @@ class TestErrors:
         assert err.startswith("error: BadParams: ")
         assert err.count("\n") == 1
 
+    @pytest.mark.parametrize("spec", [
+        '{"family":"tabulated","points":[[0,0],["1/2",1e308],[1,1e308]]}',
+        '{"family":"tabulated","points":[[0,0],["1/%d",1],[1,1]]}'
+        % 10 ** 400], ids=["steep_end", "tiny_breakpoint"])
+    def test_slope_beyond_floats_exits_one(self, grid9_file, capsys, spec):
+        # an end slope no float holds is a bad spec, not a traceback
+        assert main(["curvature", grid9_file, "--h", spec, "--pair", "x,y",
+                     "--alpha", "1/2"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: BadParams: ")
+        assert "slope outside the range of floats" in err
+        assert err.count("\n") == 1
+
     @pytest.mark.parametrize("spec", DEGENERATE_SPECS)
     @pytest.mark.parametrize("argv", [
         ["limit", "FILE", "--pair", "x,y"],

@@ -157,6 +157,15 @@ class TestAssumption:
         with pytest.raises(ValueError):
             ConcaveCost("tabulated", points=pts)
 
+    @pytest.mark.parametrize("pts", [
+        [(0, 0.0), (Fraction(1, 2), 1e308), (1, 1e308)],
+        [(0, 0.0), (Fraction(1, 10 ** 400), 1.0), (1, 1.0)]])
+    def test_slope_beyond_floats_rejected(self, pts):
+        # an end segment steeper than the largest float has no float h'(0)
+        with pytest.raises(ValueError,
+                           match="slope outside the range of floats"):
+            ConcaveCost("tabulated", points=pts)
+
     def test_convex_power_rejected(self):
         with pytest.raises(ValueError):
             ConcaveCost("power", a=2)

@@ -874,7 +874,7 @@ class TestPushRule:
         exhaustive, structured = transport._exhaustive, transport._structured
         push_bound = transport._push_bound
 
-        def own_bound(env, D, terms, own, w):
+        def own_bound(env, D, terms, own, w, bound):
             return _cut_bound(env, D, _put(env, terms, own), w)
 
         def push(heap, item):
@@ -1038,7 +1038,8 @@ def _admissible_counts(instances):
                                       for v in edge), 0)
                     dear = _cut_bound(env, D, zeroed[k], w)
                     push = _push_bound(env, D, zeroed[k],
-                                       _imbalance(child, goal, groups[k]), w)
+                                       _imbalance(child, goal, groups[k]), w,
+                                       dear)
                     assert dear <= push <= dist[child] + tol
                     raised += push > dear
     return capped, stronger, raised, beats_private
@@ -1330,22 +1331,34 @@ class TestGolden:
     152 and 185 went from 3, 10 and 1 expansions to none, with every
     other field as it was."""
 
+    # the record, then the number of pushed states and a sha256 prefix of
+    # their sequence
     @pytest.mark.parametrize("h,alpha,want", [
         (H_LOG, Fraction(1, 8),
          ("0.5149524668774486", "exact", "0.38989528906496923",
-          40, 192, "ab28de9d089487a4")),
+          40, 192, "ab28de9d089487a4", 238, "798a74d997d48f8f")),
         (H_LOG, Fraction(1, 2),
          ("0.6590961868185703", "exact", "0.5198603854199589",
-          262, 48, "616f275d4c14ab51")),
+          262, 48, "616f275d4c14ab51", 647, "e89914bab8770b0c")),
         (H_TRUNC, Fraction(1, 2),
          ("0.7499999999999999", "exact", "0.375",
-          176, 48, "85e07f2e613343b6")),
+          176, 48, "85e07f2e613343b6", 242, "066f76adadd5204e")),
     ])
-    def test_grid9(self, h, alpha, want):
+    def test_grid9(self, h, alpha, want, monkeypatch):
+        pushed = []
+
+        def push(heap, item):
+            pushed.append(item[3])
+            heapq.heappush(heap, item)
+
+        monkeypatch.setattr(transport, "heapq", types.SimpleNamespace(
+            heappush=push, heappop=heapq.heappop))
         H = generate("grid9")
         mu = lazy_random_walk(H, "x", alpha)
         nu = lazy_random_walk(H, "y", alpha)
-        assert _record(wh_exact(H, h, mu, nu)) == want
+        assert _record(wh_exact(H, h, mu, nu)) + (
+            len(pushed),
+            hashlib.sha256(repr(pushed).encode()).hexdigest()[:16]) == want
 
     # seed -> record: the first 30 seeds whose search expanded at least
     # four states before the private-vertex bound, and 877, the one seed
