@@ -167,20 +167,37 @@ class ConcaveCost:
 
         A tabulated cost is tested on its own breakpoints, which is exact
         for a piecewise-linear function: it is monotone iff its samples
-        are, and concave iff no sample lies below the chord of its
-        neighbours.  Built-in families are tested on the k/256 grid.
+        are, and concave iff no segment is steeper than the one before
+        it.  Its breakpoints are rationals, so that test is made on the
+        exact differences: breakpoints closer than float resolution keep
+        their slopes.  Built-in families are tested in floats on the k/256
+        grid, where a sample may sit below the chord of its neighbours by
+        the slack.
         """
         samples = self.points or [(x, self.eval(x)) for x in _GRID]
-        pts = [(float(x), y) for x, y in samples]
-        ys = [y for _, y in pts]
+        ys = [y for _, y in samples]
         # float rounding scales with the values compared, so both slacks
         # do, and a cost whose values are all tiny is still tested: a step
         # may drop by a few ulps of its start, a chord by 1e-12 of its ends
         monotone = all(v >= u - 1e-15 * abs(u) for u, v in zip(ys, ys[1:]))
-        concave = all(y1 >= y0 + (y2 - y0) * (x1 - x0) / (x2 - x0)
-                      - 1e-12 * max(abs(y0), abs(y2))
-                      for (x0, y0), (x1, y1), (x2, y2)
-                      in zip(pts, pts[1:], pts[2:]))
+        if self.points:
+            # a segment may be steeper than the one before it by
+            # 4e-12 * max(|y0|, |y2|) / (x2 - x0), the families' chord
+            # slack at an even triple; a slack on the values instead would
+            # hide a kink next to a breakpoint closer than float resolution
+            concave = all(
+                ((Fraction(y2) - Fraction(y1)) * (x1 - x0)
+                 - (Fraction(y1) - Fraction(y0)) * (x2 - x1)) * (x2 - x0)
+                <= Fraction(4e-12 * max(abs(y0), abs(y2)))
+                * (x1 - x0) * (x2 - x1)
+                for (x0, y0), (x1, y1), (x2, y2)
+                in zip(samples, samples[1:], samples[2:]))
+        else:
+            pts = [(float(x), y) for x, y in samples]
+            concave = all(y1 >= y0 + (y2 - y0) * (x1 - x0) / (x2 - x0)
+                          - 1e-12 * max(abs(y0), abs(y2))
+                          for (x0, y0), (x1, y1), (x2, y2)
+                          in zip(pts, pts[1:], pts[2:]))
         return ys[0] == 0.0, monotone, concave
 
     def _check_shape(self):

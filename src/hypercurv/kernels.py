@@ -47,6 +47,27 @@ which drops the tight lists.  With all potentials 0 only a zero cost is
 tight, so the first phase runs stage 1 only if some cost is 0; without
 stage 1, stage 2 starts from the sources with supply left.
 
+Between two potential updates the set of nodes at distance 0 can only
+shrink.  Reduced costs stay as they are, an augmentation adds back edges
+only between nodes already on its path, and it can delete back edges and
+drain a source, which removes a start of the search; no demand ever
+rises.  So the kernel keeps a floor ``j_tgt``: no sink below it with
+unmet demand is at distance 0.  It is the lowest sink with unmet demand
+after every potential update, rises to ``j_star`` after a phase that
+ends at ``d* = 0``, and skips the sinks whose demand is met.  Stage 1
+ends as soon as it settles ``j_tgt``, the lowest-index deficit sink it
+can reach.  The floor can pass every sink; stage 1 still runs then,
+since stage 2 reads the sources it settles at 0.
+
+Before stage 1 a phase tries a direct hop.  Stage 1 pops every source
+with supply left before any sink, in ascending order, so the first of
+them with a tight edge to ``j_tgt`` becomes that sink's parent, and the
+floor makes ``j_tgt`` the phase's ``j_star``.  If there is such a source
+the phase augments that one edge by the smaller of its supply and the
+sink's demand, with no search and no labels: the same path stage 1
+would find.  The tight lists are a cache filled when a source is first
+popped, so the phases the hop skips leave them as they were.
+
 A label is the reduced length of a simple path from a source with supply
 left: its forward costs minus its backward ones, plus that source's
 potential, which is still 0, minus the end's, which is nonnegative.  So
@@ -93,10 +114,36 @@ def _solve(supplies, demands, costs, n_src, n_snk):
     # potentials 0 only a zero cost is tight
     tight = {} if 0 in costs else None
     j_low = 0  # the lowest-index sink with unmet demand
+    # the floor: no sink below it with unmet demand is at distance 0
+    j_tgt = 0
 
     while remaining > 0:
         while not rem_d[j_low]:
             j_low += 1
+        while j_tgt < n_snk and not rem_d[j_tgt]:
+            j_tgt += 1
+
+        if tight is not None and j_tgt < n_snk:
+            # the direct hop: stage 1 would pop the sources with supply
+            # left first, ascending, and the first one tight to j_tgt
+            # would be its parent and end the phase there
+            p = pot_t[j_tgt]
+            k = j_tgt
+            for i, s in enumerate(rem_s):
+                if s and costs[k] + pot_s[i] == p:
+                    break
+                k += n_snk
+            else:
+                i = -1
+            if i >= 0:
+                bott = s if s < rem_d[j_tgt] else rem_d[j_tgt]
+                flow[k] += bott
+                back[j_tgt].add(i)
+                rem_s[i] = s - bott
+                rem_d[j_tgt] -= bott
+                remaining -= bott
+                continue
+
         dist_s = [inf] * n_src
         dist_t = [inf] * n_snk
         par_t = [-1] * n_snk
@@ -136,13 +183,15 @@ def _solve(supplies, demands, costs, n_src, n_snk):
                         d_star = 0
                         if j < j_star:
                             j_star = j
-                        if j == j_low:
+                        if j == j_tgt:
                             break
                     for i in back[j]:
                         if dist_s[i]:
                             dist_s[i] = 0
                             par_s[i] = j
                             heappush(heap, i)
+            if not d_star:
+                j_tgt = j_star
 
         if d_star:
             # stage 2: the loose edges of the sources at 0, in their pop
@@ -229,6 +278,7 @@ def _solve(supplies, demands, costs, n_src, n_snk):
             pot_t = [p + (x if x < d_star else d_star)
                      for p, x in zip(pot_t, dist_t)]
             tight = {}
+            j_tgt = j_low
 
     return sum(map(mul, flow, costs)), flow, pot_s, pot_t
 

@@ -298,7 +298,10 @@ class TestErrors:
     @pytest.mark.parametrize("spec", [
         '{"family":"tabulated","points":[[0,0],["1/2",1e308],[1,1e308]]}',
         '{"family":"tabulated","points":[[0,0],["1/%d",1],[1,1]]}'
-        % 10 ** 400], ids=["steep_end", "tiny_breakpoint"])
+        % 10 ** 400,
+        '{"family":"tabulated","points":[[0,0],["1/%d",0.5],["2/%d",0.7],'
+        '[1,1]]}' % (10 ** 400, 10 ** 400)],
+        ids=["steep_end", "tiny_breakpoint", "tiny_segments"])
     def test_slope_beyond_floats_exits_one(self, grid9_file, capsys, spec):
         # an end slope no float holds is a bad spec, not a traceback
         assert main(["curvature", grid9_file, "--h", spec, "--pair", "x,y",
@@ -317,6 +320,15 @@ class TestErrors:
         assert main(argv + ["--h", spec]) == 1
         err = capsys.readouterr().err
         assert err.startswith("error: BadParams: ")
+        assert err.count("\n") == 1
+
+    def test_kink_below_float_resolution_exits_one(self, grid9_file, capsys):
+        spec = ('{"family":"tabulated","points":[[0,0],["1/%d",0],'
+                '["1/2",0.9],[1,1]]}' % 10 ** 400)
+        assert main(["curvature", grid9_file, "--h", spec, "--pair", "x,y",
+                     "--alpha", "1/2"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: NotConcave: ")
         assert err.count("\n") == 1
 
     def test_non_monotone_tabulated_exits_one(self, grid9_file, capsys):

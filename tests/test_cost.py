@@ -1,5 +1,6 @@
 """Discount function families: evaluation, constants, shape checks."""
 
+import json
 import math
 import random
 from fractions import Fraction
@@ -164,6 +165,37 @@ class TestAssumption:
         # an end segment steeper than the largest float has no float h'(0)
         with pytest.raises(ValueError,
                            match="slope outside the range of floats"):
+            ConcaveCost("tabulated", points=pts)
+
+    def test_convex_kink_below_float_resolution_rejected(self):
+        # the first segment is flat and the next rises at slope 1.8; as
+        # floats the first two breakpoints coincide and the kink vanishes
+        pts = [(0, 0.0), (Fraction(1, 10 ** 400), 0.0), (Fraction(1, 2), 0.9),
+               (1, 1.0)]
+        with pytest.raises(NotConcave, match="concave"):
+            ConcaveCost("tabulated", points=pts)
+
+    def test_breakpoints_below_float_resolution_keep_their_slopes(self):
+        # concave, but its first slope, 5 * 10**399, is no float: a
+        # ValueError (BadParams through from_json), not a division by zero
+        pts = [(0, 0.0), (Fraction(1, 10 ** 400), 0.5),
+               (Fraction(2, 10 ** 400), 0.7), (1, 1.0)]
+        with pytest.raises(ValueError,
+                           match="slope outside the range of floats"):
+            ConcaveCost("tabulated", points=pts)
+        spec = json.dumps({"family": "tabulated", "points": [
+            [str(x), y] for x, y in pts]})
+        with pytest.raises(BadParams, match="slope outside"):
+            ConcaveCost.from_json(spec)
+
+    def test_chord_slack_scales_with_the_triple(self):
+        # a sample 1e-13 below the chord of an even triple is rounding and
+        # is kept; the same drop next to a neighbour 1e-6 away makes the
+        # slope rise by 1e-7, far past 4e-12, and is not
+        pts = [(0, 0.0), (Fraction(1, 2), 0.5 - 1e-13), (1, 1.0)]
+        assert ConcaveCost("tabulated", points=pts).check_assumption().ok
+        pts = [(0, 0.0), (Fraction(1, 10 ** 6), 1e-6 - 1e-13), (1, 1.0)]
+        with pytest.raises(NotConcave, match="concave"):
             ConcaveCost("tabulated", points=pts)
 
     def test_convex_power_rejected(self):

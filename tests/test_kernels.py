@@ -271,6 +271,28 @@ class TestAgainstReference:
                         rng, max_supply=12, max_cost=4, shape=(ns, nt),
                         min_cost=1))
 
+    def test_lazy_walk_shaped_instances(self):
+        # a lazy walk spreads its moving mass in equal shares, so a W1
+        # instance has equal supplies, equal demands (the idle masses on
+        # top of the first of each) and hop costs 1..4, full of ties; a
+        # vertex in both supports costs 0.  Most phases of such an
+        # instance end at distance 0, many of them as direct hops.
+        rng = random.Random(26)
+        for ns in range(1, 13):
+            for nt in range(1, 13):
+                share = math.lcm(ns, nt)
+                for trial in range(6):
+                    unit = rng.randint(1, 3)
+                    sup = [unit * share // ns] * ns
+                    dem = [unit * share // nt] * nt
+                    idle = rng.choice([0, 0, unit * share])
+                    sup[0] += idle
+                    dem[0] += idle
+                    costs = [rng.randint(1, 4) for _ in range(ns * nt)]
+                    for _ in range(trial % 3 * rng.randint(1, min(ns, nt))):
+                        costs[rng.randrange(ns * nt)] = 0
+                    assert_same_as_reference(sup, dem, costs, ns, nt)
+
     def test_zero_cost_in_first_phase(self):
         # With all potentials 0 only a zero cost is tight, so the first
         # phase searches the tight graph only because of the two zeros:
@@ -355,3 +377,63 @@ class TestAgainstReference:
         assert kernels._solve(sup, dem, costs, 2, 3) == (
             7, [0, 2, 1, 2, 0, 1], [1, 0], [1, 2, 2])
         assert_same_as_reference(sup, dem, costs, 2, 3)
+
+    def test_floor_above_unreachable_deficit_sink(self):
+        # Sink 1 is short from the start, but no tight path reaches it
+        # before the potentials move.  The first phase's stage 1 passes
+        # it and ends at sink 2, which lifts the floor to 2; once sink 2
+        # is full the floor moves to sink 3, and phases two to four are
+        # direct hops into sink 3 from sources 0, 1 and 3 while sink 1
+        # stays short.  Only then does a phase reach sink 1, at d* = 1.
+        sup, dem = [1, 1, 2, 3], [0, 1, 2, 4]
+        costs = [1, 1, 2, 0,
+                 1, 3, 2, 0,
+                 2, 2, 0, 3,
+                 0, 3, 2, 0]
+        assert kernels._solve(sup, dem, costs, 4, 4) == (
+            1, [0, 1, 0, 0, 0, 0, 0, 1, 0, 0, 2, 0, 0, 0, 0, 3],
+            [0, 0, 1, 0], [0, 1, 1, 0])
+        assert_same_as_reference(sup, dem, costs, 4, 4)
+
+    def test_floor_past_every_sink(self):
+        # The first phase ends at sink 1 through its zero cost, which
+        # lifts the floor to 1; sink 1 is then full, so the floor passes
+        # every sink.  The second phase has no sink to hop to, and its
+        # stage 1 still settles source 1 at 0 over the flow into sink 1,
+        # so stage 2 relaxes source 1's row too and reaches sink 0 at
+        # d* = 1 from it.  The potential update puts the floor back on
+        # sink 0 for the third phase.
+        sup, dem = [1, 2], [2, 1]
+        costs = [3, 1,
+                 1, 0]
+        assert kernels._solve(sup, dem, costs, 2, 2) == (
+            3, [0, 1, 2, 0], [0, 1], [2, 1])
+        assert_same_as_reference(sup, dem, costs, 2, 2)
+
+    def test_floor_reset_by_potential_rise(self):
+        # The first phase fills sink 1 from source 0 at d* = 0 and lifts
+        # the floor to 1.  The second reaches sink 0 at d* = 2, and the
+        # potential rise makes source 3 tight to both sinks.  With the
+        # floor back on sink 0 the third phase hops 3 -> 0; a floor left
+        # on sink 1 would hop 3 -> 1 instead.
+        sup, dem = [3, 2, 1, 3], [5, 4]
+        costs = [3, 0,
+                 2, 3,
+                 3, 3,
+                 2, 2]
+        assert kernels._solve(sup, dem, costs, 4, 2) == (
+            13, [0, 3, 2, 0, 0, 1, 3, 0], [3, 1, 0, 1], [3, 3])
+        assert_same_as_reference(sup, dem, costs, 4, 2)
+
+    def test_direct_hop_past_a_loose_source(self):
+        # Source 0 has supply but a loose edge to sink 0, and sources 1
+        # and 2 are both tight to it.  Stage 1 would pop source 0 first
+        # and find nothing, then make source 1 sink 0's parent, so the
+        # first phase hops 1 -> 0, not 2 -> 0.
+        sup, dem = [3, 2, 1], [1, 5]
+        costs = [1, 3,
+                 0, 3,
+                 0, 3]
+        assert kernels._solve(sup, dem, costs, 3, 2) == (
+            15, [0, 3, 1, 1, 0, 1], [0, 0, 0], [0, 3])
+        assert_same_as_reference(sup, dem, costs, 3, 2)
