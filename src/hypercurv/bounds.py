@@ -15,7 +15,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .cost import ConcaveCost
-from .errors import Hp1ZeroWarning, NonpositiveKappa, PairTooClose, SameVertex
+from .errors import (BadParams, Hp1ZeroWarning, NonpositiveKappa,
+                     PairTooClose, SameVertex)
 from .hypergraph import Hypergraph, generate
 from .measure import ProbMeasure
 from .transport import TransportPlan, TransportStep
@@ -165,16 +166,20 @@ def vertex_count_bound(h: ConcaveCost, kappa, max_degree: int) -> int:
         kappa = float(kappa)
         one = 1.0
     total = one
-    for j in range(1, jmax + 1):
-        term = one * max_degree ** j
-        for i in range(1, j):
-            factor = one - kappa * i / 2
-            if factor <= 0:
-                term = 0 * one
-                break
-            term *= factor
-        total += term
-    return int(math.floor(total))
+    try:
+        for j in range(1, jmax + 1):
+            term = one * max_degree ** j
+            for i in range(1, j):
+                factor = one - kappa * i / 2
+                if factor <= 0:
+                    term = 0 * one
+                    break
+                term *= factor
+            total += term
+        return int(math.floor(total))
+    except OverflowError:  # the float path, past the largest float
+        raise BadParams(
+            "vertex-count bound outside the range of floats") from None
 
 
 def _as_number(kappa):

@@ -77,8 +77,10 @@ labelled"; a fixed sentinel would be reached by large enough costs.
 The final potentials are an optimal dual certificate: every pair obeys
 ``pot_t[j] - pot_s[i] <= c_ij`` with equality wherever flow runs, so
 ``sum(pot_t * demands) - sum(pot_s * supplies)`` equals the total cost.
-`transport_value` returns the sink potentials alongside the cost, which
-lets callers build a Kantorovich potential without a second solve.
+Both entries return the sink potentials alongside the cost, which lets
+callers build a Kantorovich potential without a second solve:
+`transport_value` with the cost alone, `transport_plan` with the flows
+too.  Every solve goes through one of the two.
 """
 
 from __future__ import annotations
@@ -287,11 +289,13 @@ def transport_plan(supplies, demands, costs, n_src, n_snk):
     """Min-cost transport of integer supplies onto integer demands.
 
     `costs` is a row-major flattened n_src x n_snk nonnegative integer
-    matrix.  Returns (total_cost, flows) with flows a list of (i, j, amount).
+    matrix.  Returns (total_cost, flows, pot_t) with flows a list of
+    (i, j, amount), ascending by (i, j), and pot_t the optimal sink
+    potentials.
     """
-    total, flow, _, _ = _solve(supplies, demands, costs, n_src, n_snk)
+    total, flow, _, pot_t = _solve(supplies, demands, costs, n_src, n_snk)
     flows = [(*divmod(k, n_snk), f) for k, f in enumerate(flow) if f > 0]
-    return total, flows
+    return total, flows, pot_t
 
 
 def transport_value(supplies, demands, costs, n_src, n_snk):

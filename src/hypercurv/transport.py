@@ -65,7 +65,7 @@ from .errors import (
 )
 from .hypergraph import Hypergraph
 from .measure import ProbMeasure, common_denominator, quantize
-from .wasserstein import Coupling, w1, w1_flows, w1_primal_dual, w1_units
+from .wasserstein import Coupling, w1, w1_primal_dual, w1_units
 
 COST_TOL = 1e-12
 # wh_exact enumerates a hyperedge of three or more vertices exhaustively
@@ -743,25 +743,16 @@ def wh_exact(H: Hypergraph, h: ConcaveCost, mu: ProbMeasure, nu: ProbMeasure,
 def _search(H, h, mu, nu, D, max_states, unpruned):
     """wh_exact on the grid of 1/D; D is a multiple of every endpoint
     denominator."""
-    mu.check_support(H)
-    nu.check_support(H)
-    start = quantize(H, mu, D)
-    goal = quantize(H, nu, D)
-    # one solve prices the start and gives the seed its flows
-    lower_units, flows, f_start = w1_primal_dual(H, start, goal)
+    (start, goal, lower_units, f_start, cost_of, greedy_plan,
+     incumbent_g) = _seed(H, h, mu, nu, D)
     h1 = h.h1
     lower = h1 * (lower_units / D)
     if start == goal:
-        plan = TransportPlan(mu, nu, ())
-        return WhResult(0.0, plan, "exact", 0.0, 0, D)
+        return WhResult(0.0, greedy_plan, "exact", 0.0, 0, D)
 
     # Costs scale with h(1), and so do the comparison slacks and the
     # rounding of the heap keys: h and a*h get the same search.
     tol, slack = COST_TOL * h1, 1e-15 * h1
-    # the one memo of step prices, shared by the seed and the search
-    cost_of = _step_prices(h, D)
-    greedy_plan, incumbent_g = _seed(H, mu, nu, D, start, flows, cost_of,
-                                     tol)
 
     edge_lists = [tuple(e) for e in H.edges]
     env_of = functools.cache(lambda w: _envelope(h1, cost_of, w, D))
@@ -954,31 +945,32 @@ def wh_heuristic(H: Hypergraph, h: ConcaveCost, mu: ProbMeasure,
     shortest hyperedge paths, batch hops that share a hyperedge, then merge
     steps greedily while the cost strictly drops.  The plan is built and
     priced in units of 1/D, D = lcm(endpoint denominators), by the step
-    prices h(m / D); its value is its plan_cost."""
+    prices h(m / D); its value is its plan_cost and its lower bound
+    h(1) * W1.  It is the seed wh_exact starts from (see _seed)."""
+    D = common_denominator([mu, nu])
+    _, _, total, _, _, plan, value = _seed(H, h, mu, nu, D)
+    return WhResult(value, plan, "heuristic-upper-bound", h.h1 * (total / D),
+                    0, D)
+
+
+def _seed(H, h, mu, nu, D):
+    """The start of both W_h solvers on the grid of 1/D: (start, goal,
+    W1 * D, f, price, plan, plan_cost), start and goal in grid units.
+
+    One W1 solve (w1_primal_dual) gives the start's W1, its potential f
+    and the flows that wh_heuristic's plan routes.  `price` is the memo
+    of step prices (see _step_prices) that prices the plan and that the
+    search shares; a merge is kept when cheaper by more than
+    COST_TOL * h(1)."""
     mu.check_support(H)
     nu.check_support(H)
-    D = common_denominator([mu, nu])
     start = quantize(H, mu, D)
-    total, flows = w1_flows(H, start, quantize(H, nu, D))
-    plan, value = _seed(H, mu, nu, D, start, flows, _step_prices(h, D),
-                        COST_TOL * h.h1)
-    return WhResult(value, plan, "heuristic-upper-bound",
-                    h.h1 * float(Fraction(total, D)), 0, D)
-
-
-def _seed(H, mu, nu, D, start, flows, price, tol):
-    """(plan, plan_cost) of wh_heuristic from the W1 flows (x id, y id,
-    units) from start to nu on the grid of 1/D, priced by the step prices
-    `price` (see _step_prices) with merges kept when cheaper by more than
-    tol."""
-    if not flows:
-        return TransportPlan(mu, nu, ()), 0.0
-
-    pending = []  # per parcel: list of hops (from_id, to_id, edge)
-    masses = []
-    for x, y, units in flows:
-        pending.append(_parcel_path(H, x, y))
-        masses.append(units)
+    goal = quantize(H, nu, D)
+    total, flows, f = w1_primal_dual(H, start, goal)
+    price = _step_prices(h, D)
+    # per parcel: list of hops (from_id, to_id, edge)
+    pending = [_parcel_path(H, x, y) for x, y, _ in flows]
+    masses = [units for _, _, units in flows]
 
     pos = [0] * len(pending)
     steps = []  # (edge, moves): moves are (from, to, units), sorted
@@ -1001,11 +993,11 @@ def _seed(H, mu, nu, D, start, flows, price, tol):
                                for (a, b), m in sorted(combined.items()))))
 
     holdings = {H.label(v): u for v, u in enumerate(start) if u}
-    steps, value = _merge_pass(holdings, steps, price, tol)
+    steps, value = _merge_pass(holdings, steps, price, COST_TOL * h.h1)
     plan = TransportPlan(mu, nu, tuple(
         TransportStep(k, tuple((a, b, Fraction(m, D)) for a, b, m in moves))
         for k, moves in steps))
-    return plan, value
+    return start, goal, total, f, price, plan, value
 
 
 def _steps_cost(start, steps, price):

@@ -80,22 +80,15 @@ def _c_transform(H: Hypergraph, dem_ids, pot_t):
     return [min([row[j] - p for j, p in sinks]) for row in H.distance_matrix()]
 
 
-def w1_total(H: Hypergraph, start_units, goal_units) -> int:
-    """W1 * D between two measures quantized to the grid 1/D: the kernel's
-    integer total alone, with no potential and no flows."""
-    inst = _instance(H, start_units, goal_units)
-    if inst is None:
-        return 0
-    return kernels.transport_value(*inst[2])[0]
-
-
 def walk_w1(H: Hypergraph, x: str, y: str, alpha) -> Fraction:
     """W1 between the idleness-alpha walks from x and from y, as a value
-    only: one kernel solve on their integer vectors (`walk_units`), with
-    no measure objects and no coupling.  Equal to w1's value on
-    lazy_random_walk's measures, and raises what they raise."""
+    only: one value-only kernel solve on their integer vectors
+    (`walk_units`), with no measure objects, no potential and no coupling.
+    Equal to w1's value on lazy_random_walk's measures, and raises what
+    they raise."""
     D, start, goal = walk_units(H, x, y, alpha)
-    return Fraction(w1_total(H, start, goal), D)
+    inst = _instance(H, start, goal)
+    return Fraction(kernels.transport_value(*inst[2])[0] if inst else 0, D)
 
 
 def w1_units(H: Hypergraph, start_units, goal_units):
@@ -118,35 +111,22 @@ def w1_units(H: Hypergraph, start_units, goal_units):
     return total, _c_transform(H, dem_ids, pot_t)
 
 
-def w1_flows(H: Hypergraph, start_units, goal_units):
-    """(W1 * D, flows) between two measures quantized to the grid 1/D.
+def w1_primal_dual(H: Hypergraph, start_units, goal_units):
+    """(W1 * D, flows, f) between two measures quantized to the grid 1/D,
+    from one kernel solve.
 
     `flows` holds the off-diagonal entries (x id, y id, units) of an
     optimal coupling, ascending by (x, y); the mass both measures share
-    stays in place and is not listed.
+    stays in place and is not listed.  `f` is the potential of `w1_units`,
+    from the same solve.
     """
-    inst = _instance(H, start_units, goal_units)
-    if inst is None:
-        return 0, []
-    sup_ids, dem_ids, args = inst
-    total, flows = kernels.transport_plan(*args)
-    return total, [(sup_ids[i], dem_ids[j], f) for i, j, f in flows]
-
-
-def w1_primal_dual(H: Hypergraph, start_units, goal_units):
-    """(W1 * D, flows, f) from one kernel solve: the flows of `w1_flows`
-    and the potential of `w1_units`, each equal to what those give.  It
-    calls the kernel's `_solve`, since `transport_plan` and
-    `transport_value` each return only half of that."""
     inst = _instance(H, start_units, goal_units)
     if inst is None:
         return 0, [], [0] * len(start_units)
     sup_ids, dem_ids, args = inst
-    total, flow, _, pot_t = kernels._solve(*args)
-    n_snk = len(dem_ids)
-    flows = [(sup_ids[k // n_snk], dem_ids[k % n_snk], f)
-             for k, f in enumerate(flow) if f]
-    return total, flows, _c_transform(H, dem_ids, pot_t)
+    total, flows, pot_t = kernels.transport_plan(*args)
+    return (total, [(sup_ids[i], dem_ids[j], f) for i, j, f in flows],
+            _c_transform(H, dem_ids, pot_t))
 
 
 def w1(H: Hypergraph, mu: ProbMeasure, nu: ProbMeasure):
@@ -164,7 +144,8 @@ def w1(H: Hypergraph, mu: ProbMeasure, nu: ProbMeasure):
         if q > 0:
             entries[(v, v)] = min(p, q)
     D = common_denominator([mu, nu])
-    total, flows = w1_flows(H, quantize(H, mu, D), quantize(H, nu, D))
+    total, flows, _ = w1_primal_dual(H, quantize(H, mu, D),
+                                     quantize(H, nu, D))
     # supply and demand vertices are disjoint and each pair flows once,
     # so no entry is written twice
     for x, y, f in flows:

@@ -26,6 +26,7 @@ from hypercurv import (
     wh_line_lower_bound,
 )
 from hypercurv.errors import (
+    BadParams,
     Hp1ZeroWarning,
     NonpositiveKappa,
     PairTooClose,
@@ -189,6 +190,14 @@ class TestVertexCount:
         h = ConcaveCost("trunc_log_combo", a=Fraction(1, 100))
         bound = vertex_count_bound(h, Fraction(1, 10), 3)
         assert bound >= 1
+
+    @pytest.mark.parametrize("h, kappa", [
+        (H_LOG, Fraction(1, 1000)), (H_LIN, 0.001)])
+    def test_beyond_floats_is_bad_params(self, h, kappa):
+        # the float path (non-linear h or a float kappa) cannot hold
+        # 3 ** j from j = 647 on; jmax is 1,442 and 2,000 here
+        with pytest.raises(BadParams, match="outside the range of floats"):
+            vertex_count_bound(h, kappa, 3)
 
     def test_nonpositive_kappa(self):
         with pytest.raises(NonpositiveKappa):

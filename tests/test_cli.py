@@ -237,6 +237,16 @@ class TestBounds:
         assert main(["bounds", "--h", LIN1, "--kappa", "-1"]) == 1
         assert "NonpositiveKappa" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("argv", [
+        ["--kappa", "1/1000"], ["--catalog", "line_ends", "--d", "2000"]],
+        ids=["given", "catalog"])
+    def test_vertex_bound_beyond_floats_exits_one(self, capsys, argv):
+        # max_degree ** j overflows a float: one error line, no traceback
+        assert main(["bounds", "--h", LOG1, "--max-degree", "3"] + argv) == 1
+        err = capsys.readouterr().err
+        assert err == ("error: BadParams: vertex-count bound outside the "
+                       "range of floats\n")
+
     def test_chained_from_catalog(self, capsys):
         assert main(["bounds", "--h", LOG1, "--catalog", "complete",
                      "--n", "3", "--max-degree", "2"]) == 0
@@ -352,7 +362,8 @@ class TestErrors:
         ["--pair", "x"], ["--pair", "x,y,z"], ["--pair", "x,y", "--refine", "1"],
         ["--pair", "x,y", "--max-states", "0"],
         ["--pair", "x,y", "--heuristic", "--max-states", "5"],
-        ["--pair", "x,y", "--heuristic", "--unpruned"]])
+        ["--pair", "x,y", "--heuristic", "--unpruned"],
+        ["--pair", "x,y", "--alpha", "1/0"]])  # not a rational
     def test_usage_errors_exit_two(self, grid9_file, extra):
         with pytest.raises(SystemExit) as exc:
             main(["curvature", grid9_file, "--h", LOG1, "--alpha", "1/2"]

@@ -1,11 +1,13 @@
 """Exact W1: examples, coupling validity, metric and duality properties."""
 
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
 
 from hypercurv import (
+    ConcaveCost,
     ProbMeasure,
     SignedDelta,
     dirac,
@@ -13,9 +15,14 @@ from hypercurv import (
     graph_distance,
     common_denominator,
     lazy_random_walk,
+    lly,
+    orc_alpha,
     w1,
+    wh_exact,
+    wh_heuristic,
     within_edge_w1,
 )
+from hypercurv import kernels
 from hypercurv.errors import SupportOutsideEdge, SupportOutsideVertexSet
 from hypercurv.measure import quantize
 from hypercurv.wasserstein import w1_units
@@ -129,6 +136,37 @@ class TestDuality:
             coup.check()
             units, _ = w1_units(H, quantize(H, mu, D), quantize(H, nu, D))
             assert val * D == units
+
+
+class TestKernelEntries:
+    def test_every_solve_goes_through_a_public_entry(self, monkeypatch):
+        # solves are counted where the benchmark tracer counts them, at
+        # transport_value and transport_plan; a caller of the private
+        # _solve would be a solve those counts miss
+        counts = Counter()
+
+        def counted(name, fn):
+            def wrapper(*args):
+                counts[name] += 1
+                return fn(*args)
+            return wrapper
+
+        for name in ("_solve", "transport_value", "transport_plan"):
+            monkeypatch.setattr(kernels, name,
+                                counted(name, getattr(kernels, name)))
+        H = generate("grid9")
+        h = ConcaveCost("log", a=1)
+        for alpha in (Fraction(1, 8), Fraction(1, 2)):
+            mu = lazy_random_walk(H, "x", alpha)
+            nu = lazy_random_walk(H, "y", alpha)
+            wh_exact(H, h, mu, nu)
+            wh_heuristic(H, h, mu, nu)
+            w1(H, mu, nu)
+            orc_alpha(H, "x", "y", alpha)
+        lly(H, "v1", "v9")
+        assert counts["_solve"] > 0
+        assert counts["_solve"] == (counts["transport_value"]
+                                    + counts["transport_plan"])
 
 
 class TestWithinEdge:
